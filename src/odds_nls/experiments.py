@@ -7,7 +7,6 @@ writes long-format CSVs plus a JSON manifest holding the config, its hash,
 per-trajectory seeds, stage timings, and any step failures.
 """
 
-import csv
 import json
 import os
 import statistics
@@ -23,9 +22,8 @@ from .baselines import (FDSCN1D, FDSCN2D, SMM1D, SMM2D, run_uniform_trajectory,
                         uniform_grid_1d)
 from .config import ExperimentConfig, config_hash
 from .mesh import build_mesh
-from .noise import AggregatedNoise, NoiseModel1D, NoiseModel2D
-from .observables import (discrete_charge, discrete_charge_2d, fit_order,
-                          mean_square_error, trapezoid_weights)
+from .noise import AggregatedNoise, MemoizedNoise, NoiseModel1D, NoiseModel2D
+from .observables import discrete_charge_2d, fit_order, trapezoid_weights
 from .stepper import ProblemSpec, RunOptions, StepFailure, run_trajectory
 
 
@@ -64,18 +62,68 @@ def sine_datum(x: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------------- plumbing
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def cells(values) -> list:
+    """CSV cells of one column: ints by str, floats by repr, strings as given.
+
+    Values pass through ndarray.tolist(), so a float cell is the repr of a
+    Python float (numpy 2 scalars repr as 'np.float64(...)').
+    """
+    column = np.asarray(values)
+    if column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
+    if column.dtype.kind == "f":
+        return list(map(repr, column.tolist()))
+    if column.dtype.kind == "U":
+        return column.tolist()
+    raise TypeError(f"no CSV cell format for dtype {column.dtype}")
 
 
-def _write_csv(path: str, header, rows) -> str:
+def _modulus_cells(field: np.ndarray) -> list:
+    """Cells of |u| over a complex field in C order.
+
+    Python's scalar abs is used on purpose: numpy's vectorized np.abs rounds
+    the last digit differently on some values, which would change the CSVs.
+    """
+    return list(map(repr, map(abs, field.ravel().tolist())))
+
+
+def _repeat(value, n: int) -> list:
+    return cells([value]) * n
+
+
+def _csv_text(columns) -> str:
+    """Rows of equal-length cell columns, joined by ',' and ended by CRLF.
+
+    This is csv.writer's default dialect for cells it would not quote; a
+    cell it would quote raises instead.
+    """
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError("CSV columns of unequal length "
+                         f"{[len(c) for c in columns]}")
+    text = "".join(row + "\r\n" for row in map(",".join, zip(*columns)))
+    if ('"' in text or text.count(",") != n * (len(columns) - 1)
+            or text.count("\r") != n or text.count("\n") != n
+            or (len(columns) == 1 and "" in columns[0])):
+        raise ValueError("a CSV cell needs quoting (it holds ',', '\"' or a "
+                         "line break, or is a one-column row's empty cell)")
+    return text
+
+
+def write_csv(path: str, header, blocks) -> str:
+    """Write a header row, then each block of cell columns, to a CSV file.
+
+    A block is a list with one column of cells per header field. Each block
+    is written as it comes, so a generator streams a large table through
+    memory one block at a time.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+        fh.write(_csv_text([[name] for name in header]))
+        for columns in blocks:
+            if len(columns) != len(header):
+                raise ValueError(f"{len(columns)} columns for "
+                                 f"{len(header)} header fields")
+            fh.write(_csv_text(columns))
     return path
 
 
@@ -137,6 +185,13 @@ def _farm(builder, job_fn, jobs, workers):
         return list(pool.map(_run_job, [(job_fn, job) for job in jobs]))
 
 
+def _series(runs, name: str):
+    """One block of (trajectory, time, value) cells per run for an invariant."""
+    for p, res in runs:
+        yield [_repeat(p, res.times.size), cells(res.times),
+               cells(getattr(res, name))]
+
+
 def _snapshot_steps(config: ExperimentConfig):
     steps = sorted({round(t / config.tau) for t in config.snapshot_times})
     n_steps = round(config.t_final / config.tau)
@@ -183,38 +238,32 @@ def run_soliton1d(config: ExperimentConfig, workers: int = 1) -> RunResult:
 
     failures = [r for r in results if isinstance(r, dict)]
     runs = [(p, r) for p, r in enumerate(results) if not isinstance(r, dict)]
+    t0 = time.perf_counter()
     dirpath = output_dir(config, "soliton1d")
-    paths = []
-    profile_rows = []
-    charge_rows = []
-    energy_rows = []
-    for p, res in runs:
-        for step in sorted(res.snapshots):
-            t = step * config.tau
-            for x, val in zip(mesh.nodes, res.snapshots[step]):
-                profile_rows.append((p, t, x, abs(val)))
-        for t, c, e in zip(res.times, res.charge, res.energy):
-            charge_rows.append((p, t, c))
-            energy_rows.append((p, t, e))
-    paths.append(_write_csv(
-        os.path.join(dirpath, "profiles.csv"),
-        ["trajectory (index)", "time (time units)", "x (space units)",
-         "abs_u (amplitude)"], profile_rows))
-    paths.append(_write_csv(
-        os.path.join(dirpath, "charge.csv"),
-        ["trajectory (index)", "time (time units)",
-         "charge (amplitude^2 x space)"], charge_rows))
-    paths.append(_write_csv(
-        os.path.join(dirpath, "energy.csv"),
-        ["trajectory (index)", "time (time units)", "energy (energy units)"],
-        energy_rows))
+    xs = cells(mesh.nodes)
+    profiles = ([_repeat(p, len(xs)), _repeat(step * config.tau, len(xs)), xs,
+                 _modulus_cells(u)]
+                for p, res in runs
+                for step, u in sorted(res.snapshots.items()))
+    paths = [
+        write_csv(os.path.join(dirpath, "profiles.csv"),
+                  ["trajectory (index)", "time (time units)",
+                   "x (space units)", "abs_u (amplitude)"], profiles),
+        write_csv(os.path.join(dirpath, "charge.csv"),
+                  ["trajectory (index)", "time (time units)",
+                   "charge (amplitude^2 x space)"], _series(runs, "charge")),
+        write_csv(os.path.join(dirpath, "energy.csv"),
+                  ["trajectory (index)", "time (time units)",
+                   "energy (energy units)"], _series(runs, "energy")),
+    ]
     if runs:
         energies = np.vstack([r.energy for _, r in runs])
-        mean_rows = list(zip(runs[0][1].times, energies.mean(axis=0)))
-        paths.append(_write_csv(
+        paths.append(write_csv(
             os.path.join(dirpath, "energy_mean.csv"),
-            ["time (time units)", "mean_energy (energy units)"], mean_rows))
-    man = _manifest(config, {"run": t_run}, paths, failures)
+            ["time (time units)", "mean_energy (energy units)"],
+            [[cells(runs[0][1].times), cells(energies.mean(axis=0))]]))
+    stages = {"run": t_run, "write": time.perf_counter() - t0}
+    man = _manifest(config, stages, paths, failures)
     paths.append(_write_manifest(dirpath, man))
     return RunResult(man, paths)
 
@@ -238,26 +287,24 @@ def run_collision1d(config: ExperimentConfig, workers: int = 1) -> RunResult:
     t_run = time.perf_counter() - t0
     failures = [r for r in results if isinstance(r, dict)]
     runs = [(p, r) for p, r in enumerate(results) if not isinstance(r, dict)]
+    t0 = time.perf_counter()
     dirpath = output_dir(config, "collision1d")
-    rows = []
-    charge_rows = []
-    for p, res in runs:
-        for step in sorted(res.snapshots):
-            t = step * config.tau
-            for x, val in zip(mesh.nodes, res.snapshots[step]):
-                rows.append((p, t, x, val.real, val.imag, abs(val)))
-        for t, c in zip(res.times, res.charge):
-            charge_rows.append((p, t, c))
+    xs = cells(mesh.nodes)
+    snapshots = ([_repeat(p, len(xs)), _repeat(step * config.tau, len(xs)), xs,
+                  cells(u.real), cells(u.imag), _modulus_cells(u)]
+                 for p, res in runs
+                 for step, u in sorted(res.snapshots.items()))
     paths = [
-        _write_csv(os.path.join(dirpath, "snapshots.csv"),
-                   ["trajectory (index)", "time (time units)",
-                    "x (space units)", "re_u (amplitude)", "im_u (amplitude)",
-                    "abs_u (amplitude)"], rows),
-        _write_csv(os.path.join(dirpath, "charge.csv"),
-                   ["trajectory (index)", "time (time units)",
-                    "charge (amplitude^2 x space)"], charge_rows),
+        write_csv(os.path.join(dirpath, "snapshots.csv"),
+                  ["trajectory (index)", "time (time units)",
+                   "x (space units)", "re_u (amplitude)", "im_u (amplitude)",
+                   "abs_u (amplitude)"], snapshots),
+        write_csv(os.path.join(dirpath, "charge.csv"),
+                  ["trajectory (index)", "time (time units)",
+                   "charge (amplitude^2 x space)"], _series(runs, "charge")),
     ]
-    man = _manifest(config, {"run": t_run}, paths, failures)
+    stages = {"run": t_run, "write": time.perf_counter() - t0}
+    man = _manifest(config, stages, paths, failures)
     paths.append(_write_manifest(dirpath, man))
     return RunResult(man, paths)
 
@@ -283,11 +330,7 @@ def run_gaussian2d(config: ExperimentConfig, workers: int = 1) -> RunResult:
     del workers  # eps sweep shares one trajectory stream; runs are serial
     eps_values = config.eps_values or (config.eps,)
     mesh_x, mesh_y, u0, model = _gaussian_setup(config)
-    wx = trapezoid_weights(mesh_x.nodes)
-    wy = trapezoid_weights(mesh_y.nodes)
-    dirpath = output_dir(config, "gaussian2d")
-    surface_rows = []
-    charge_rows = []
+    runs = []
     failures = []
     stages = {}
     n_steps = round(config.t_final / config.tau)
@@ -306,22 +349,34 @@ def run_gaussian2d(config: ExperimentConfig, workers: int = 1) -> RunResult:
             continue
         finally:
             stages[f"run_eps_{eps:g}"] = time.perf_counter() - t0
-        for step in sorted(res.snapshots):
-            t = step * config.tau
-            field = res.snapshots[step]
-            charge_rows.append((eps, t, float(wx @ np.abs(field) ** 2 @ wy)))
-            for i, x in enumerate(mesh_x.nodes):
-                for j, y in enumerate(mesh_y.nodes):
-                    surface_rows.append((eps, t, x, y, abs(field[i, j])))
+        runs.append((eps, res))
+    t0 = time.perf_counter()
+    dirpath = output_dir(config, "gaussian2d")
+    snaps = [(eps, step * config.tau, field) for eps, res in runs
+             for step, field in sorted(res.snapshots.items())]
+
+    def surfaces():
+        # one block per x line, so the text in memory stays a line long
+        xs, ys = cells(mesh_x.nodes), cells(mesh_y.nodes)
+        for eps, t, field in snaps:
+            eps_col, t_col = _repeat(eps, len(ys)), _repeat(t, len(ys))
+            for x, line in zip(xs, field):
+                yield [eps_col, t_col, [x] * len(ys), ys, _modulus_cells(line)]
+
+    charges = [discrete_charge_2d(field, mesh_x.nodes, mesh_y.nodes)
+               for _, _, field in snaps]
     paths = [
-        _write_csv(os.path.join(dirpath, "surfaces.csv"),
-                   ["eps (dimensionless)", "time (time units)",
-                    "x (space units)", "y (space units)",
-                    "abs_u (amplitude)"], surface_rows),
-        _write_csv(os.path.join(dirpath, "charge.csv"),
-                   ["eps (dimensionless)", "time (time units)",
-                    "charge (amplitude^2 x area)"], charge_rows),
+        write_csv(os.path.join(dirpath, "surfaces.csv"),
+                  ["eps (dimensionless)", "time (time units)",
+                   "x (space units)", "y (space units)",
+                   "abs_u (amplitude)"], surfaces()),
+        write_csv(os.path.join(dirpath, "charge.csv"),
+                  ["eps (dimensionless)", "time (time units)",
+                   "charge (amplitude^2 x area)"],
+                  [[cells([eps for eps, _, _ in snaps]),
+                    cells([t for _, t, _ in snaps]), cells(charges)]]),
     ]
+    stages["write"] = time.perf_counter() - t0
     man = _manifest(config, stages, paths, failures,
                     extra={"eps_sweep": list(eps_values)})
     paths.append(_write_manifest(dirpath, man))
@@ -345,14 +400,17 @@ def _convergence_job(ctx, p):
     config, mesh, u0, model, weights = ctx
     prob = ProblemSpec(config.lam, config.eps)
     n_ref = round(config.t_final / config.tau_ref)
+    # every ladder level sums the reference run's fine increments: draw each
+    # of them once for this trajectory
+    fine = MemoizedNoise(model, p)
     res = run_trajectory(u0, mesh, prob, config.tau_ref, n_ref,
-                         options=RunOptions(noise=model.trajectory(p),
+                         options=RunOptions(noise=fine,
                                             record_invariants=False))
     ref = res.state.values
     out = np.empty(len(config.tau_ladder))
     for i, tau in enumerate(config.tau_ladder):
         ratio = round(tau / config.tau_ref)
-        noise = AggregatedNoise(model.trajectory(p), ratio, config.tau_ref)
+        noise = AggregatedNoise(fine, ratio, config.tau_ref)
         res = run_trajectory(u0, mesh, prob, tau,
                              round(config.t_final / tau),
                              options=RunOptions(noise=noise,
@@ -371,14 +429,15 @@ def run_convergence(config: ExperimentConfig, workers: int = 1) -> RunResult:
     order = np.argsort(taus)[::-1]  # fit_order wants decreasing taus
     errs = np.sqrt(np.vstack(sq_errors).mean(axis=0))
     fit = fit_order(taus[order], errs[order])
+    t0 = time.perf_counter()
     dirpath = output_dir(config, "convergence")
-    rows = []
-    for i, (tau, err) in enumerate(zip(fit.taus, fit.errors)):
-        rows.append((tau, err, "" if i == 0 else _fmt(fit.orders[i - 1])))
-    paths = [_write_csv(os.path.join(dirpath, "table.csv"),
-                        ["tau (time units)", "err (weighted l2 amplitude)",
-                         "order (dimensionless)"], rows)]
-    man = _manifest(config, {"run": t_run}, paths, [],
+    paths = [write_csv(os.path.join(dirpath, "table.csv"),
+                       ["tau (time units)", "err (weighted l2 amplitude)",
+                        "order (dimensionless)"],
+                       [[cells(fit.taus), cells(fit.errors),
+                         [""] + cells(fit.orders)]])]
+    stages = {"run": t_run, "write": time.perf_counter() - t0}
+    man = _manifest(config, stages, paths, [],
                     extra={"global_order": fit.global_order,
                            "tau_ref": config.tau_ref})
     paths.append(_write_manifest(dirpath, man))
@@ -478,12 +537,15 @@ def run_efficiency(config: ExperimentConfig, workers: int = 1) -> RunResult:
         medians[name] = med
         rows.append((name, config.dimension, points, n_steps, config.repeats,
                      med, min(times), max(times)))
+    t0 = time.perf_counter()
     dirpath = output_dir(config, f"efficiency{config.dimension}d")
-    paths = [_write_csv(
+    paths = [write_csv(
         os.path.join(dirpath, "timings.csv"),
         ["scheme (name)", "dimension (count)", "points_per_axis (count)",
          "steps (count)", "repeats (count)", "median_seconds (s)",
-         "min_seconds (s)", "max_seconds (s)"], rows)]
+         "min_seconds (s)", "max_seconds (s)"],
+        [[cells(column) for column in zip(*rows)]])]
+    stages["write"] = time.perf_counter() - t0
     man = _manifest(config, stages, paths, [], extra={"medians": medians})
     paths.append(_write_manifest(dirpath, man))
     return RunResult(man, paths, data=medians)

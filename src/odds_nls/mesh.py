@@ -87,22 +87,6 @@ def build_mesh(x_left: float, x_right: float, M: int, J: int) -> OverlapMesh1D:
                          nodes, ref, bounds)
 
 
-def affine_to_reference(mesh: OverlapMesh1D, m: int, y) -> np.ndarray:
-    """Map physical coordinates inside element m onto [-1, 1]."""
-    lo, hi = mesh.element_bounds[m]
-    y = np.asarray(y, dtype=float)
-    tol = 1e-12 * (hi - lo)
-    if np.any(y < lo - tol) or np.any(y > hi + tol):
-        raise ValueError(f"point outside element {m}: [{lo}, {hi}]")
-    return (2.0 * y - (hi + lo)) / (hi - lo)
-
-
-def reference_to_physical(mesh: OverlapMesh1D, m: int, eta) -> np.ndarray:
-    lo, hi = mesh.element_bounds[m]
-    eta = np.asarray(eta, dtype=float)
-    return lo + (hi - lo) * (eta + 1.0) / 2.0
-
-
 def assemble_global(mesh: OverlapMesh1D, order: int = 2) -> sp.csr_matrix:
     """Assemble the global differentiation matrix of the given order.
 
@@ -146,11 +130,3 @@ def split_interior_boundary(matrix: sp.spmatrix) -> tuple[sp.csr_matrix, sp.csr_
     interior = A[1:-1, 1:-1]
     bdy = sp.hstack([A[1:-1, 0], A[1:-1, n - 1]]).tocsr()
     return interior.tocsr(), bdy
-
-
-def dump_nodes_csv(mesh: OverlapMesh1D, path: str) -> None:
-    """Write the global grid as a two-column CSV for plotting or debugging."""
-    with open(path, "w") as fh:
-        fh.write("index,x\n")
-        for i, x in enumerate(mesh.nodes):
-            fh.write(f"{i},{x!r}\n")

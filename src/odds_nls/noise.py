@@ -145,6 +145,27 @@ class TrajectoryNoise:
         return inc
 
 
+class MemoizedNoise(TrajectoryNoise):
+    """Increment stream that draws each (step, dt) once and then replays it.
+
+    For runs that read the same increments many times, such as a reference
+    run and the coarse runs aggregated from it. It keeps every increment it
+    has drawn, so make one per such group of runs and drop it afterwards.
+    """
+
+    def __init__(self, model, trajectory: int):
+        super().__init__(model, trajectory)
+        self._drawn = {}
+
+    def mode_increments(self, step: int, dt: float) -> np.ndarray:
+        key = (step, dt)
+        if key not in self._drawn:
+            xi = super().mode_increments(step, dt)
+            xi.flags.writeable = False      # every reader shares this array
+            self._drawn[key] = xi
+        return self._drawn[key]
+
+
 class AggregatedNoise:
     """Coarse-step view of a finer stream: mode increments summed in blocks.
 

@@ -4,7 +4,9 @@ Every run here is shrunk via overrides until it takes a second or two; the
 full-size setups are exercised by the acceptance suite.
 """
 
+import csv
 import hashlib
+import io
 import json
 import os
 
@@ -12,9 +14,14 @@ import numpy as np
 import pytest
 
 import odds_nls.cli as cli
+import odds_nls.experiments as experiments
 from odds_nls.config import builtin_configs, from_mapping
-from odds_nls.experiments import (RunResult, collision_datum, gaussian_datum,
-                                  run_experiment, soliton_datum)
+from odds_nls.experiments import (RunResult, cells, collision_datum,
+                                  gaussian_datum, run_experiment,
+                                  soliton_datum, write_csv)
+from odds_nls.mesh import build_mesh
+from odds_nls.noise import TrajectoryNoise
+from odds_nls.observables import trapezoid_weights
 from odds_nls.stepper import StepFailure
 
 
@@ -30,6 +37,29 @@ def tiny_soliton(tmp_path, **extra):
 def sha_of(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def per_cell(value) -> str:
+    """The per-cell rule the CSVs were first written with."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def csv_module_bytes(header, rows) -> bytes:
+    """csv.writer's default dialect fed row by row through per_cell."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([v if isinstance(v, str) else per_cell(v)
+                         for v in row])
+    return buf.getvalue().encode()
+
+
+def read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 class TestInitialData:
@@ -60,6 +90,38 @@ class TestInitialData:
         np.testing.assert_allclose(u, u.T, atol=1e-15)
 
 
+class TestCSVWriter:
+    header = ["name (label)", "n (count)", "m (count)", "x (units)",
+              "y (units)"]
+    rows = [("odds", np.int64(3), 7, -0.0, float("nan")),
+            ("", np.int32(-12), 10 ** 12, 5e-324, np.float64(1e16)),
+            ("fdscn", np.uint8(0), -1, 0.1, 1.0 / 3.0)]
+
+    def test_bytes_match_csv_module(self, tmp_path):
+        columns = [cells(list(c)) for c in zip(*self.rows)]
+        blocks = [[c[:1] for c in columns], [c[1:] for c in columns],
+                  [[] for _ in columns]]
+        path = write_csv(str(tmp_path / "t.csv"), self.header, blocks)
+        text = read_bytes(path)
+        assert text == csv_module_bytes(self.header, self.rows)
+        assert text.count(b"\r\n") == 1 + len(self.rows)
+
+    def test_unequal_columns_raise(self, tmp_path):
+        with pytest.raises(ValueError, match="unequal"):
+            write_csv(str(tmp_path / "t.csv"), ["a", "b"],
+                      [[cells([1, 2]), cells([1.0])]])
+        with pytest.raises(ValueError, match="header"):
+            write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[cells([1])]])
+
+    @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r"])
+    def test_cells_that_need_quoting_raise(self, tmp_path, cell):
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(str(tmp_path / "t.csv"), ["a", "b"],
+                      [[["ok", cell], ["1", "2"]]])
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(str(tmp_path / "t.csv"), ["a", cell], [])
+
+
 class TestSolitonRunner:
     def test_artifacts_and_manifest(self, tmp_path):
         cfg = tiny_soliton(tmp_path)
@@ -74,6 +136,7 @@ class TestSolitonRunner:
         assert man["per_trajectory_seeds"] == [[0, 0], [0, 1]]
         assert len(man["config_sha256"]) == 64
         assert all(v >= 0 for v in man["stage_seconds"].values())
+        assert "write" in man["stage_seconds"]
         # manifest on disk equals the returned one
         mpath = [p for p in result.paths if p.endswith("manifest.json")][0]
         with open(mpath) as fh:
@@ -137,6 +200,52 @@ class TestOtherRunners:
                              deletechars="()")
         eps_col = rows[rows.dtype.names[0]]
         assert set(np.unique(eps_col)) == {0.0, 1.0}
+        assert "write" in result.manifest["stage_seconds"]
+
+    def test_gaussian2d_bytes_match_row_by_row_writer(self, tmp_path,
+                                                      monkeypatch):
+        # the row-by-row writer the surfaces were first written with: scalar
+        # abs of each numpy complex, then per_cell (np.abs over the field
+        # rounds some moduli differently)
+        runs = []
+
+        def recording(*args, **kwargs):
+            runs.append(real_run(*args, **kwargs))
+            return runs[-1]
+
+        real_run = experiments.run_trajectory
+        monkeypatch.setattr(experiments, "run_trajectory", recording)
+        cfg = from_mapping({"kind": "gaussian2d", "elements": 2, "degree": 5,
+                            "elements_y": 2, "degree_y": 6, "modes": 6,
+                            "modes_y": 6, "eps_values": [0.0, 1.0],
+                            "tau": 0.02, "t_final": 0.04,
+                            "snapshot_times": [0.0, 0.02, 0.04],
+                            "output_dir": str(tmp_path)})
+        result = run_experiment(cfg, workers=1)
+        mesh_x = build_mesh(cfg.x_left, cfg.x_right, cfg.elements, cfg.degree)
+        mesh_y = build_mesh(cfg.y_left, cfg.y_right, cfg.elements_y,
+                            cfg.degree_y)
+        wx = trapezoid_weights(mesh_x.nodes)
+        wy = trapezoid_weights(mesh_y.nodes)
+        surface_rows, charge_rows = [], []
+        for eps, res in zip(cfg.eps_values, runs):
+            for step in sorted(res.snapshots):
+                t = step * cfg.tau
+                field = res.snapshots[step]
+                charge_rows.append((eps, t, float(wx @ np.abs(field) ** 2
+                                                  @ wy)))
+                for i, x in enumerate(mesh_x.nodes):
+                    for j, y in enumerate(mesh_y.nodes):
+                        surface_rows.append((eps, t, x, y, abs(field[i, j])))
+        paths = {os.path.basename(p): p for p in result.paths}
+        with open(paths["surfaces.csv"]) as fh:
+            header = next(csv.reader(fh))
+        assert read_bytes(paths["surfaces.csv"]) == csv_module_bytes(
+            header, surface_rows)
+        with open(paths["charge.csv"]) as fh:
+            header = next(csv.reader(fh))
+        assert read_bytes(paths["charge.csv"]) == csv_module_bytes(
+            header, charge_rows)
 
     def test_convergence_table_and_order(self, tmp_path):
         cfg = from_mapping({"kind": "convergence", "elements": 2, "degree": 6,
@@ -151,6 +260,26 @@ class TestOtherRunners:
         assert body.shape == (2, 2)
         assert body[0, 1] > body[1, 1] > 0  # errors decrease down the ladder
         assert "global_order" in result.manifest
+        assert "write" in result.manifest["stage_seconds"]
+
+    def test_convergence_draws_each_fine_increment_once(self, tmp_path,
+                                                        monkeypatch):
+        # the reference run and every ladder level share one set of draws
+        draws = []
+        real_draw = TrajectoryNoise.mode_increments
+
+        def counting(self, step, dt):
+            draws.append((self.trajectory, step))
+            return real_draw(self, step, dt)
+
+        monkeypatch.setattr(TrajectoryNoise, "mode_increments", counting)
+        cfg = from_mapping({"kind": "convergence", "elements": 2, "degree": 6,
+                            "modes": 20, "trajectories": 2,
+                            "tau_ladder": [2.0 ** -4, 2.0 ** -5],
+                            "tau_ref": 2.0 ** -6, "tau": 2.0 ** -6,
+                            "t_final": 0.25, "output_dir": str(tmp_path)})
+        run_experiment(cfg, workers=1)
+        assert sorted(draws) == [(p, k) for p in range(2) for k in range(16)]
 
     def test_efficiency_times_all_schemes(self, tmp_path):
         cfg = from_mapping({"kind": "efficiency", "x_left": -5.0,
@@ -167,6 +296,7 @@ class TestOtherRunners:
             text = fh.read()
         for scheme in ("odds", "smm", "fdscn"):
             assert scheme in text
+        assert "write" in result.manifest["stage_seconds"]
 
 
 class TestCLI:

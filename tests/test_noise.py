@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from odds_nls.noise import (AggregatedNoise, NoiseModel1D, NoiseModel2D,
-                            sample_increment)
+from odds_nls.noise import (AggregatedNoise, MemoizedNoise, NoiseModel1D,
+                            NoiseModel2D, sample_increment)
 
 
 @pytest.fixture
@@ -100,6 +100,21 @@ def test_aggregated_increments_sum_fine_blocks(grid):
     manual = sum(fine.increment_at(2 * ratio + r, 0.0, tau_fine).values
                  for r in range(ratio))
     np.testing.assert_allclose(coarse, manual, atol=1e-15)
+
+
+def test_memoized_noise_replays_the_trajectory_draws(grid):
+    model = NoiseModel1D.build(-1.0, 1.0, grid, modes=12, seed=4)
+    memo = MemoizedNoise(model, 3)
+    plain = model.trajectory(3)
+    first = memo.mode_increments(5, 0.01)
+    assert memo.mode_increments(5, 0.01) is first
+    np.testing.assert_array_equal(first, plain.mode_increments(5, 0.01))
+    np.testing.assert_array_equal(memo.mode_increments(5, 0.02),
+                                  plain.mode_increments(5, 0.02))
+    assert not first.flags.writeable
+    np.testing.assert_array_equal(
+        AggregatedNoise(memo, 2, 0.01).increment_at(1, 0.0, 0.02).values,
+        AggregatedNoise(plain, 2, 0.01).increment_at(1, 0.0, 0.02).values)
 
 
 def test_aggregated_rejects_bad_ratio(grid):
