@@ -2,41 +2,3 @@
 stochastic cubic Schrodinger equation with Dirichlet boundary data."""
 
 __version__ = "0.1.0"
-
-from .baselines import (FDSCN1D, FDSCN2D, SMM1D, SMM2D, UniformGrid1D,
-                        run_uniform_trajectory, uniform_grid_1d)
-from .chebyshev import diff_matrix, diff_matrix_higher, reference_nodes
-from .config import (ConfigError, ExperimentConfig, apply_overrides,
-                     builtin_configs, builtin_efficiency_2d, config_hash,
-                     config_schema, load_config)
-from .linalg import (CNSystem, KrylovError, SolverOptions, build_cn_system,
-                     cn_step_linear, krylov_solve)
-from .mesh import OverlapMesh1D, assemble_global, build_mesh
-from .noise import (AggregatedNoise, NoiseModel1D, NoiseModel2D,
-                    WienerIncrement)
-from .observables import (OrderFit, averaged_energy_growth, discrete_charge,
-                          discrete_charge_2d, discrete_energy,
-                          discrete_energy_2d, fit_order, mean_square_error,
-                          trapezoid_weights)
-from .stepper import (ProblemSpec, RunOptions, StateField, StepFailure,
-                      TrajectoryResult, nonlinear_flow, odds_step_1d,
-                      odds_step_2d, run_trajectory)
-
-__all__ = [
-    "__version__",
-    "FDSCN1D", "FDSCN2D", "SMM1D", "SMM2D", "UniformGrid1D",
-    "run_uniform_trajectory", "uniform_grid_1d",
-    "diff_matrix", "diff_matrix_higher", "reference_nodes",
-    "ConfigError", "ExperimentConfig", "apply_overrides", "builtin_configs",
-    "builtin_efficiency_2d", "config_hash", "config_schema", "load_config",
-    "CNSystem", "KrylovError", "SolverOptions", "build_cn_system",
-    "cn_step_linear", "krylov_solve",
-    "OverlapMesh1D", "assemble_global", "build_mesh",
-    "AggregatedNoise", "NoiseModel1D", "NoiseModel2D", "WienerIncrement",
-    "OrderFit", "averaged_energy_growth", "discrete_charge",
-    "discrete_charge_2d", "discrete_energy", "discrete_energy_2d",
-    "fit_order", "mean_square_error", "trapezoid_weights",
-    "ProblemSpec", "RunOptions", "StateField", "StepFailure",
-    "TrajectoryResult", "nonlinear_flow", "odds_step_1d", "odds_step_2d",
-    "run_trajectory",
-]

@@ -135,15 +135,15 @@ def output_dir(config: ExperimentConfig, subdir: str) -> str:
     return path
 
 
-def _manifest(config: ExperimentConfig, stages: dict, artifacts, failures,
-              extra=None) -> dict:
+def _manifest(config: ExperimentConfig, trajectories, stages: dict,
+              artifacts, failures, extra=None) -> dict:
+    """The run's manifest; trajectories are the noise trajectories drawn."""
     man = {
         "experiment": config.kind,
         "artifact_version": __version__,
         "config": config.to_dict(),
         "config_sha256": config_hash(config),
-        "per_trajectory_seeds": [[config.seed, p]
-                                 for p in range(config.trajectories)],
+        "per_trajectory_seeds": [[config.seed, p] for p in trajectories],
         "stage_seconds": {k: round(v, 3) for k, v in stages.items()},
         "artifacts": [os.path.basename(p) for p in artifacts],
         "failures": failures,
@@ -198,19 +198,61 @@ def _snapshot_steps(config: ExperimentConfig):
     return tuple(s for s in steps if 0 <= s <= n_steps)
 
 
-# ------------------------------------------------------------------ soliton1d
+# ---------------------------------------------------------------------- set-up
 
-def _mesh_1d(config):
-    return build_mesh(config.x_left, config.x_right, config.elements,
-                      config.degree)
+def _mesh_axes(config: ExperimentConfig, dimension: int) -> list:
+    """The overlapping mesh of each axis, x first."""
+    axes = [build_mesh(config.x_left, config.x_right, config.elements,
+                       config.degree)]
+    if dimension == 2:
+        axes.append(build_mesh(config.y_left, config.y_right,
+                               config.elements_y, config.degree_y))
+    return axes
 
 
-def _soliton_ctx(config):
-    mesh = _mesh_1d(config)
-    u0 = soliton_datum(mesh.nodes)
-    u0[0] = u0[-1] = 0.0
-    model = NoiseModel1D.build(config.x_left, config.x_right, mesh.nodes,
-                               modes=config.modes, seed=config.seed)
+def _uniform_axes(config: ExperimentConfig, dimension: int) -> list:
+    """The reference schemes' uniform grid of each axis, x first."""
+    bounds = [(config.x_left, config.x_right),
+              (config.y_left, config.y_right)][:dimension]
+    return [uniform_grid_1d(lo, hi, config.uniform_points)
+            for lo, hi in bounds]
+
+
+def _start(config: ExperimentConfig, datum, axes):
+    """Initial field and noise model on the nodes of one or two axes.
+
+    The field is datum on the grid with its Dirichlet edges set to zero.
+    """
+    nodes = [axis.nodes for axis in axes]
+    u0 = datum(*nodes)
+    u0[[0, -1]] = 0.0
+    if len(axes) == 1:
+        return u0, NoiseModel1D.build(config.x_left, config.x_right, *nodes,
+                                      modes=config.modes, seed=config.seed)
+    u0[:, [0, -1]] = 0.0
+    return u0, NoiseModel2D.build(config.x_left, config.x_right,
+                                  config.y_left, config.y_right, *nodes,
+                                  modes_x=config.modes, modes_y=config.modes_y,
+                                  seed=config.seed)
+
+
+# ------------------------------------------------------ soliton1d, collision1d
+
+# kind -> (datum, snapshot file, snapshot value columns, writes energy.csv
+# and energy_mean.csv)
+_ABS_U = ("abs_u (amplitude)", _modulus_cells)
+_LAYOUT_1D = {
+    "soliton1d": (soliton_datum, "profiles.csv", (_ABS_U,), True),
+    "collision1d": (collision_datum, "snapshots.csv",
+                    (("re_u (amplitude)", lambda u: cells(u.real)),
+                     ("im_u (amplitude)", lambda u: cells(u.imag)), _ABS_U),
+                    False),
+}
+
+
+def _trajectory_ctx(config):
+    mesh, = _mesh_axes(config, 1)
+    u0, model = _start(config, _LAYOUT_1D[config.kind][0], [mesh])
     return config, mesh, u0, model
 
 
@@ -229,107 +271,59 @@ def _trajectory_job(ctx, p):
     return res
 
 
-def run_soliton1d(config: ExperimentConfig, workers: int = 1) -> RunResult:
+def run_trajectories_1d(config: ExperimentConfig,
+                        workers: int = 1) -> RunResult:
+    """Trajectories of a 1D pulse datum: snapshots and invariant series."""
+    _, snapshot_file, columns, energy = _LAYOUT_1D[config.kind]
     t0 = time.perf_counter()
-    mesh = _mesh_1d(config)
-    results = _farm(partial(_soliton_ctx, config), _trajectory_job,
-                    range(config.trajectories), workers)
+    mesh, = _mesh_axes(config, 1)
+    trajectories = range(config.trajectories)
+    results = _farm(partial(_trajectory_ctx, config), _trajectory_job,
+                    trajectories, workers)
     t_run = time.perf_counter() - t0
 
     failures = [r for r in results if isinstance(r, dict)]
     runs = [(p, r) for p, r in enumerate(results) if not isinstance(r, dict)]
     t0 = time.perf_counter()
-    dirpath = output_dir(config, "soliton1d")
+    dirpath = output_dir(config, config.kind)
     xs = cells(mesh.nodes)
-    profiles = ([_repeat(p, len(xs)), _repeat(step * config.tau, len(xs)), xs,
-                 _modulus_cells(u)]
-                for p, res in runs
-                for step, u in sorted(res.snapshots.items()))
+    snapshots = ([_repeat(p, len(xs)), _repeat(step * config.tau, len(xs)),
+                  xs, *(values(u) for _, values in columns)]
+                 for p, res in runs
+                 for step, u in sorted(res.snapshots.items()))
     paths = [
-        write_csv(os.path.join(dirpath, "profiles.csv"),
+        write_csv(os.path.join(dirpath, snapshot_file),
                   ["trajectory (index)", "time (time units)",
-                   "x (space units)", "abs_u (amplitude)"], profiles),
+                   "x (space units)", *(name for name, _ in columns)],
+                  snapshots),
         write_csv(os.path.join(dirpath, "charge.csv"),
                   ["trajectory (index)", "time (time units)",
                    "charge (amplitude^2 x space)"], _series(runs, "charge")),
-        write_csv(os.path.join(dirpath, "energy.csv"),
-                  ["trajectory (index)", "time (time units)",
-                   "energy (energy units)"], _series(runs, "energy")),
     ]
-    if runs:
+    if energy:
+        paths.append(write_csv(
+            os.path.join(dirpath, "energy.csv"),
+            ["trajectory (index)", "time (time units)",
+             "energy (energy units)"], _series(runs, "energy")))
+    if energy and runs:
         energies = np.vstack([r.energy for _, r in runs])
         paths.append(write_csv(
             os.path.join(dirpath, "energy_mean.csv"),
             ["time (time units)", "mean_energy (energy units)"],
             [[cells(runs[0][1].times), cells(energies.mean(axis=0))]]))
     stages = {"run": t_run, "write": time.perf_counter() - t0}
-    man = _manifest(config, stages, paths, failures)
-    paths.append(_write_manifest(dirpath, man))
-    return RunResult(man, paths)
-
-
-# ---------------------------------------------------------------- collision1d
-
-def _collision_ctx(config):
-    mesh = _mesh_1d(config)
-    u0 = collision_datum(mesh.nodes)
-    u0[0] = u0[-1] = 0.0
-    model = NoiseModel1D.build(config.x_left, config.x_right, mesh.nodes,
-                               modes=config.modes, seed=config.seed)
-    return config, mesh, u0, model
-
-
-def run_collision1d(config: ExperimentConfig, workers: int = 1) -> RunResult:
-    t0 = time.perf_counter()
-    mesh = _mesh_1d(config)
-    results = _farm(partial(_collision_ctx, config), _trajectory_job,
-                    range(config.trajectories), workers)
-    t_run = time.perf_counter() - t0
-    failures = [r for r in results if isinstance(r, dict)]
-    runs = [(p, r) for p, r in enumerate(results) if not isinstance(r, dict)]
-    t0 = time.perf_counter()
-    dirpath = output_dir(config, "collision1d")
-    xs = cells(mesh.nodes)
-    snapshots = ([_repeat(p, len(xs)), _repeat(step * config.tau, len(xs)), xs,
-                  cells(u.real), cells(u.imag), _modulus_cells(u)]
-                 for p, res in runs
-                 for step, u in sorted(res.snapshots.items()))
-    paths = [
-        write_csv(os.path.join(dirpath, "snapshots.csv"),
-                  ["trajectory (index)", "time (time units)",
-                   "x (space units)", "re_u (amplitude)", "im_u (amplitude)",
-                   "abs_u (amplitude)"], snapshots),
-        write_csv(os.path.join(dirpath, "charge.csv"),
-                  ["trajectory (index)", "time (time units)",
-                   "charge (amplitude^2 x space)"], _series(runs, "charge")),
-    ]
-    stages = {"run": t_run, "write": time.perf_counter() - t0}
-    man = _manifest(config, stages, paths, failures)
+    man = _manifest(config, trajectories, stages, paths, failures)
     paths.append(_write_manifest(dirpath, man))
     return RunResult(man, paths)
 
 
 # ----------------------------------------------------------------- gaussian2d
 
-def _gaussian_setup(config):
-    mesh_x = build_mesh(config.x_left, config.x_right, config.elements,
-                        config.degree)
-    mesh_y = build_mesh(config.y_left, config.y_right, config.elements_y,
-                        config.degree_y)
-    u0 = gaussian_datum(mesh_x.nodes, mesh_y.nodes)
-    u0[0, :] = u0[-1, :] = 0.0
-    u0[:, 0] = u0[:, -1] = 0.0
-    model = NoiseModel2D.build(config.x_left, config.x_right, config.y_left,
-                               config.y_right, mesh_x.nodes, mesh_y.nodes,
-                               modes_x=config.modes, modes_y=config.modes_y,
-                               seed=config.seed)
-    return mesh_x, mesh_y, u0, model
-
-
 def run_gaussian2d(config: ExperimentConfig, workers: int = 1) -> RunResult:
     del workers  # eps sweep shares one trajectory stream; runs are serial
     eps_values = config.eps_values or (config.eps,)
-    mesh_x, mesh_y, u0, model = _gaussian_setup(config)
+    mesh_x, mesh_y = axes = _mesh_axes(config, 2)
+    u0, model = _start(config, gaussian_datum, axes)
     runs = []
     failures = []
     stages = {}
@@ -377,7 +371,7 @@ def run_gaussian2d(config: ExperimentConfig, workers: int = 1) -> RunResult:
                     cells([t for _, t, _ in snaps]), cells(charges)]]),
     ]
     stages["write"] = time.perf_counter() - t0
-    man = _manifest(config, stages, paths, failures,
+    man = _manifest(config, [0], stages, paths, failures,
                     extra={"eps_sweep": list(eps_values)})
     paths.append(_write_manifest(dirpath, man))
     return RunResult(man, paths)
@@ -386,11 +380,8 @@ def run_gaussian2d(config: ExperimentConfig, workers: int = 1) -> RunResult:
 # ---------------------------------------------------------------- convergence
 
 def _convergence_ctx(config):
-    mesh = _mesh_1d(config)
-    u0 = sine_datum(mesh.nodes)
-    u0[0] = u0[-1] = 0.0
-    model = NoiseModel1D.build(config.x_left, config.x_right, mesh.nodes,
-                               modes=config.modes, seed=config.seed)
+    mesh, = _mesh_axes(config, 1)
+    u0, model = _start(config, sine_datum, [mesh])
     weights = trapezoid_weights(mesh.nodes)
     return config, mesh, u0, model, weights
 
@@ -422,8 +413,9 @@ def _convergence_job(ctx, p):
 
 def run_convergence(config: ExperimentConfig, workers: int = 1) -> RunResult:
     t0 = time.perf_counter()
+    trajectories = range(config.trajectories)
     sq_errors = _farm(partial(_convergence_ctx, config), _convergence_job,
-                      range(config.trajectories), workers)
+                      trajectories, workers)
     t_run = time.perf_counter() - t0
     taus = np.array(config.tau_ladder)
     order = np.argsort(taus)[::-1]  # fit_order wants decreasing taus
@@ -437,7 +429,7 @@ def run_convergence(config: ExperimentConfig, workers: int = 1) -> RunResult:
                        [[cells(fit.taus), cells(fit.errors),
                          [""] + cells(fit.orders)]])]
     stages = {"run": t_run, "write": time.perf_counter() - t0}
-    man = _manifest(config, stages, paths, [],
+    man = _manifest(config, trajectories, stages, paths, [],
                     extra={"global_order": fit.global_order,
                            "tau_ref": config.tau_ref})
     paths.append(_write_manifest(dirpath, man))
@@ -446,89 +438,53 @@ def run_convergence(config: ExperimentConfig, workers: int = 1) -> RunResult:
 
 # ----------------------------------------------------------------- efficiency
 
-def _time_odds_1d(config, n_steps):
-    mesh = _mesh_1d(config)
-    u0 = soliton_datum(mesh.nodes)
-    u0[0] = u0[-1] = 0.0
-    model = NoiseModel1D.build(config.x_left, config.x_right, mesh.nodes,
-                               modes=config.modes, seed=config.seed)
-    prob = ProblemSpec(config.lam, config.eps)
-
-    def once(rep):
-        opts = RunOptions(noise=model.trajectory(rep), record_invariants=False)
-        run_trajectory(u0, mesh, prob, config.tau, n_steps, options=opts)
-
-    return mesh.nodes.size, once
+# scheme -> (axes of its grid, its stepper in 1D and 2D); the overlapping
+# splitting scheme steps its mesh through run_trajectory
+_SCHEMES = {
+    "odds": (_mesh_axes, None),
+    "smm": (_uniform_axes, (SMM1D, SMM2D)),
+    "fdscn": (_uniform_axes, (FDSCN1D, FDSCN2D)),
+}
 
 
-def _time_uniform_1d(config, n_steps, scheme):
-    grid = uniform_grid_1d(config.x_left, config.x_right,
-                           config.uniform_points)
-    u0 = soliton_datum(grid.nodes)
-    u0[0] = u0[-1] = 0.0
-    model = NoiseModel1D.build(config.x_left, config.x_right, grid.nodes,
-                               modes=config.modes, seed=config.seed)
-    method = scheme(grid, config.tau, config.lam, config.eps)
+def _timed_run(config: ExperimentConfig, name: str, n_steps: int):
+    """(points per axis, run(rep)) of one scheme at config.dimension."""
+    grid_axes, steppers = _SCHEMES[name]
+    axes = grid_axes(config, config.dimension)
+    datum = soliton_datum if config.dimension == 1 else gaussian_datum
+    u0, model = _start(config, datum, axes)
+    if steppers is None:
+        mesh = axes[0] if config.dimension == 1 else tuple(axes)
+        prob = ProblemSpec(config.lam, config.eps)
 
-    def once(rep):
-        run_uniform_trajectory(method, u0, n_steps,
-                               noise=model.trajectory(rep))
+        def once(rep):
+            opts = RunOptions(noise=model.trajectory(rep),
+                              record_invariants=False)
+            run_trajectory(u0, mesh, prob, config.tau, n_steps, options=opts)
+    else:
+        method = steppers[config.dimension - 1](*axes, config.tau, config.lam,
+                                                config.eps)
 
-    return grid.nodes.size, once
+        def once(rep):
+            run_uniform_trajectory(method, u0, n_steps,
+                                   noise=model.trajectory(rep))
 
-
-def _time_odds_2d(config, n_steps):
-    mesh_x, mesh_y, u0, model = _gaussian_setup(config)
-    prob = ProblemSpec(config.lam, config.eps)
-
-    def once(rep):
-        opts = RunOptions(noise=model.trajectory(rep), record_invariants=False)
-        run_trajectory(u0, (mesh_x, mesh_y), prob, config.tau, n_steps,
-                       options=opts)
-
-    return mesh_x.nodes.size, once
-
-
-def _time_uniform_2d(config, n_steps, scheme):
-    grid_x = uniform_grid_1d(config.x_left, config.x_right,
-                             config.uniform_points)
-    grid_y = uniform_grid_1d(config.y_left, config.y_right,
-                             config.uniform_points)
-    u0 = gaussian_datum(grid_x.nodes, grid_y.nodes)
-    u0[0, :] = u0[-1, :] = 0.0
-    u0[:, 0] = u0[:, -1] = 0.0
-    model = NoiseModel2D.build(config.x_left, config.x_right, config.y_left,
-                               config.y_right, grid_x.nodes, grid_y.nodes,
-                               modes_x=config.modes, modes_y=config.modes_y,
-                               seed=config.seed)
-    method = scheme(grid_x, grid_y, config.tau, config.lam, config.eps)
-
-    def once(rep):
-        run_uniform_trajectory(method, u0, n_steps,
-                               noise=model.trajectory(rep))
-
-    return grid_x.nodes.size, once
+    return axes[0].nodes.size, once
 
 
 def run_efficiency(config: ExperimentConfig, workers: int = 1) -> RunResult:
     # wall-clock comparison: always serial, one scheme at a time
     del workers
     n_steps = round(config.t_final / config.tau)
-    if config.dimension == 1:
-        setups = [("odds", *_time_odds_1d(config, n_steps)),
-                  ("smm", *_time_uniform_1d(config, n_steps, SMM1D)),
-                  ("fdscn", *_time_uniform_1d(config, n_steps, FDSCN1D))]
-    else:
-        setups = [("odds", *_time_odds_2d(config, n_steps)),
-                  ("smm", *_time_uniform_2d(config, n_steps, SMM2D)),
-                  ("fdscn", *_time_uniform_2d(config, n_steps, FDSCN2D))]
+    setups = [(name, *_timed_run(config, name, n_steps)) for name in _SCHEMES]
+    reps = range(config.repeats)
     rows = []
     medians = {}
     stages = {}
     for name, points, once in setups:
         t0 = time.perf_counter()
         times = []
-        for rep in range(config.repeats):
+        for rep in reps:
             t1 = time.perf_counter()
             once(rep)
             times.append(time.perf_counter() - t1)
@@ -546,14 +502,15 @@ def run_efficiency(config: ExperimentConfig, workers: int = 1) -> RunResult:
          "min_seconds (s)", "max_seconds (s)"],
         [[cells(column) for column in zip(*rows)]])]
     stages["write"] = time.perf_counter() - t0
-    man = _manifest(config, stages, paths, [], extra={"medians": medians})
+    man = _manifest(config, reps, stages, paths, [],
+                    extra={"medians": medians})
     paths.append(_write_manifest(dirpath, man))
     return RunResult(man, paths, data=medians)
 
 
 RUNNERS = {
-    "soliton1d": run_soliton1d,
-    "collision1d": run_collision1d,
+    "soliton1d": run_trajectories_1d,
+    "collision1d": run_trajectories_1d,
     "gaussian2d": run_gaussian2d,
     "convergence": run_convergence,
     "efficiency": run_efficiency,

@@ -196,16 +196,17 @@ class CNSystem:
     def __post_init__(self):
         self.lu = LUSolver(self.G)
 
-    def boundary_forcing(self, bc_old: tuple[complex, complex],
-                         bc_new: tuple[complex, complex]) -> np.ndarray:
-        """Affine term produced by Dirichlet data at t_n and t_{n+1}."""
-        qb = np.array([bc_new[0].imag + bc_old[0].imag,
-                       bc_new[1].imag + bc_old[1].imag])
-        pb = np.array([bc_new[0].real + bc_old[0].real,
-                       bc_new[1].real + bc_old[1].real])
+    def boundary_forcing(self, bc_old, bc_new) -> np.ndarray:
+        """Affine term produced by Dirichlet data at t_n and t_{n+1}.
+
+        bc_old and bc_new hold the (left, right) values of one line, or a
+        (2, m) array of them for m lines; the term is then one column per
+        line.
+        """
+        total = np.asarray(bc_new, dtype=complex) + np.asarray(bc_old)
         half = self.tau / 2.0
-        return np.concatenate([half * (self.B_boundary @ qb),
-                               -half * (self.B_boundary @ pb)])
+        return np.concatenate([half * (self.B_boundary @ total.imag),
+                               -half * (self.B_boundary @ total.real)])
 
 
 def build_cn_system(mesh: OverlapMesh1D, tau: float,

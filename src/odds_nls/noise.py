@@ -114,7 +114,6 @@ class TrajectoryNoise:
     def __init__(self, model, trajectory: int):
         self.model = model
         self.trajectory = trajectory
-        self._cursor = 0
 
     def mode_increments(self, step: int, dt: float) -> np.ndarray:
         """Per-mode Brownian increments over one step, N(0, dt) each."""
@@ -137,12 +136,6 @@ class TrajectoryNoise:
             raise ValueError(f"non-positive interval [{t_from}, {t_to}]")
         xi = self.mode_increments(step, t_to - t_from)
         return WienerIncrement(self.values_from_modes(xi), t_from, t_to)
-
-    def sample(self, t_from: float, t_to: float) -> WienerIncrement:
-        """Draw the next increment along this trajectory (auto-advancing step)."""
-        inc = self.increment_at(self._cursor, t_from, t_to)
-        self._cursor += 1
-        return inc
 
 
 class MemoizedNoise(TrajectoryNoise):
@@ -187,8 +180,3 @@ class AggregatedNoise:
         for r in range(1, self.ratio):
             xi = xi + self.fine.mode_increments(step * self.ratio + r, self.dt_fine)
         return WienerIncrement(self.fine.values_from_modes(xi), t_from, t_to)
-
-
-def sample_increment(source, t_from: float, t_to: float) -> WienerIncrement:
-    """Next Wiener increment from a trajectory stream."""
-    return source.sample(t_from, t_to)

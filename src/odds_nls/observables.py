@@ -81,21 +81,6 @@ def averaged_energy_growth(times: np.ndarray, energies: np.ndarray
     return float(slope), float(intercept), float(r2)
 
 
-def mean_square_error(coarse: np.ndarray, reference: np.ndarray,
-                      weights: np.ndarray) -> float:
-    """Root mean (over trajectories) weighted squared terminal-state distance.
-
-    coarse and reference are (n_traj, n_nodes) arrays of paired trajectories
-    driven by the same Brownian paths.
-    """
-    coarse = np.atleast_2d(coarse)
-    reference = np.atleast_2d(reference)
-    if coarse.shape != reference.shape:
-        raise ValueError(f"unpaired shapes {coarse.shape} vs {reference.shape}")
-    sq = (np.abs(coarse - reference) ** 2) @ weights
-    return float(np.sqrt(sq.mean()))
-
-
 @dataclass
 class OrderFit:
     taus: np.ndarray

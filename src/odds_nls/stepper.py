@@ -62,16 +62,10 @@ def nonlinear_flow(values: np.ndarray, tau: float, lam: float, eps: float,
     return values * np.exp(-1j * phase)
 
 
-def _bc_pair(problem: ProblemSpec, t_old: float, t_new: float,
-             xs: np.ndarray, ys=None):
-    """Evaluate boundary data at both time levels; complex arrays."""
-    if ys is None:
-        old = np.asarray(problem.boundary(t_old, xs), dtype=complex)
-        new = np.asarray(problem.boundary(t_new, xs), dtype=complex)
-    else:
-        old = np.asarray(problem.boundary(t_old, xs, ys), dtype=complex)
-        new = np.asarray(problem.boundary(t_new, xs, ys), dtype=complex)
-    return old, new
+def _bc_pair(problem: ProblemSpec, t_old: float, t_new: float, *coords):
+    """Complex boundary data at both time levels on the given points."""
+    return tuple(np.asarray(problem.boundary(t, *coords), dtype=complex)
+                 for t in (t_old, t_new))
 
 
 def odds_step_1d(values: np.ndarray, t: float, tau: float,
@@ -81,49 +75,32 @@ def odds_step_1d(values: np.ndarray, t: float, tau: float,
     """One full 1D step from t to t + tau. Returns the new grid values."""
     w = nonlinear_flow(values, tau, problem.lam, problem.eps, dw)
     if problem.boundary is None:
-        w[0] = 0.0
-        w[-1] = 0.0
+        w[0] = w[-1] = 0.0
         return cn_step_linear(system, w, opts)
-    ends = np.array([mesh.x_left, mesh.x_right])
-    bc_old, bc_new = _bc_pair(problem, t, t + tau, ends)
+    bc_old, bc_new = _bc_pair(problem, t, t + tau,
+                              np.array([mesh.x_left, mesh.x_right]))
     w[0], w[-1] = bc_old
-    forcing = system.boundary_forcing((bc_old[0], bc_old[1]),
-                                      (bc_new[0], bc_new[1]))
-    return cn_step_linear(system, w, opts, forcing=forcing,
-                          bc_new=(bc_new[0], bc_new[1]))
+    return cn_step_linear(system, w, opts,
+                          system.boundary_forcing(bc_old, bc_new), bc_new)
 
 
-def _sweep_lines(block: np.ndarray, system: CNSystem, opts, left_old,
-                 right_old, left_new, right_new) -> None:
+def _sweep_lines(block: np.ndarray, system: CNSystem, opts,
+                 bc=None) -> None:
     """Solve one CN step along axis 0 of block for every column, in place.
 
-    The bc arrays hold per-column Dirichlet data (None means homogeneous).
-    Every column shares the line operator, so all columns are solved in one
+    bc is the (old, new) pair of (2, m) arrays holding each column's
+    (left, right) Dirichlet data; None means homogeneous data. Every column
+    shares the line operator, so all columns are solved in one
     multi-right-hand-side solve with the system's LU factor; each column
     sees the linear step cn_step_linear would give it.
     """
     interior = block[1:-1, :]
     U = np.vstack([interior.imag, interior.real])
-    if left_old is None:
-        rhs = system.G_explicit @ U + system.F[:, None]
-    else:
-        half = system.tau / 2.0
-        qb = np.vstack([left_new.imag + left_old.imag,
-                        right_new.imag + right_old.imag])
-        pb = np.vstack([left_new.real + left_old.real,
-                        right_new.real + right_old.real])
-        forcing = np.vstack([half * (system.B_boundary @ qb),
-                             -half * (system.B_boundary @ pb)])
-        rhs = system.G_explicit @ U + forcing
-    sol = system.lu.solve(rhs, opts)
+    forcing = system.F[:, None] if bc is None else system.boundary_forcing(*bc)
+    sol = system.lu.solve(system.G_explicit @ U + forcing, opts)
     n = system.n_interior
     block[1:-1, :] = sol[n:, :] + 1j * sol[:n, :]
-    if left_old is None:
-        block[0, :] = 0.0
-        block[-1, :] = 0.0
-    else:
-        block[0, :] = left_new
-        block[-1, :] = right_new
+    block[0, :], block[-1, :] = (0.0, 0.0) if bc is None else bc[1]
 
 
 def _refresh_edges_2d(w: np.ndarray, problem: ProblemSpec, t: float,
@@ -148,23 +125,14 @@ def odds_step_2d(values: np.ndarray, t: float, tau: float,
                  dw: np.ndarray | None = None) -> np.ndarray:
     """One full 2D step: nonlinear flow, then x-line solves, then y-line."""
     w = nonlinear_flow(values, tau, problem.lam, problem.eps, dw)
-    xs, ys = mesh_x.nodes, mesh_y.nodes
-    if problem.boundary is None:
-        _sweep_lines(w[:, 1:-1], system_x, opts, None, None, None, None)
-        wt = np.ascontiguousarray(w[1:-1, :].T)
-        _sweep_lines(wt, system_y, opts, None, None, None, None)
-        w[1:-1, :] = wt.T
-        _refresh_edges_2d(w, problem, t + tau, mesh_x, mesh_y)
-        return w
-    y_int = ys[1:-1]
-    lo, ln = _bc_pair(problem, t, t + tau, np.full_like(y_int, xs[0]), y_int)
-    ro, rn = _bc_pair(problem, t, t + tau, np.full_like(y_int, xs[-1]), y_int)
-    _sweep_lines(w[:, 1:-1], system_x, opts, lo, ro, ln, rn)
-    x_int = xs[1:-1]
-    bo, bn = _bc_pair(problem, t, t + tau, x_int, np.full_like(x_int, ys[0]))
-    to, tn = _bc_pair(problem, t, t + tau, x_int, np.full_like(x_int, ys[-1]))
+    bc_x = bc_y = None
+    if problem.boundary is not None:
+        xs, ys = mesh_x.nodes, mesh_y.nodes
+        bc_x = _bc_pair(problem, t, t + tau, xs[[0, -1], None], ys[1:-1])
+        bc_y = _bc_pair(problem, t, t + tau, xs[1:-1], ys[[0, -1], None])
+    _sweep_lines(w[:, 1:-1], system_x, opts, bc_x)
     wt = np.ascontiguousarray(w[1:-1, :].T)
-    _sweep_lines(wt, system_y, opts, bo, to, bn, tn)
+    _sweep_lines(wt, system_y, opts, bc_y)
     w[1:-1, :] = wt.T
     _refresh_edges_2d(w, problem, t + tau, mesh_x, mesh_y)
     return w

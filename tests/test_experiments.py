@@ -281,10 +281,13 @@ class TestOtherRunners:
         run_experiment(cfg, workers=1)
         assert sorted(draws) == [(p, k) for p in range(2) for k in range(16)]
 
-    def test_efficiency_times_all_schemes(self, tmp_path):
-        cfg = from_mapping({"kind": "efficiency", "x_left": -5.0,
-                            "x_right": 5.0, "elements": 2, "degree": 6,
-                            "modes": 10, "uniform_points": 11, "tau": 0.02,
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_efficiency_times_all_schemes(self, tmp_path, dimension):
+        cfg = from_mapping({"kind": "efficiency", "dimension": dimension,
+                            "x_left": -5.0, "x_right": 5.0, "y_left": -4.0,
+                            "y_right": 4.0, "elements": 2, "degree": 6,
+                            "elements_y": 2, "degree_y": 5, "modes": 10,
+                            "modes_y": 10, "uniform_points": 11, "tau": 0.02,
                             "t_final": 0.06, "repeats": 3,
                             "output_dir": str(tmp_path)})
         result = run_experiment(cfg, workers=1)
@@ -293,10 +296,32 @@ class TestOtherRunners:
         assert all(v > 0 for v in medians.values())
         timings = [p for p in result.paths if p.endswith("timings.csv")][0]
         with open(timings) as fh:
-            text = fh.read()
-        for scheme in ("odds", "smm", "fdscn"):
-            assert scheme in text
+            rows = list(csv.reader(fh))[1:]
+        # points per axis: the x mesh's nodes for odds, the uniform grid's
+        # points for the reference schemes
+        x_nodes = build_mesh(cfg.x_left, cfg.x_right, cfg.elements,
+                             cfg.degree).n_nodes
+        assert [row[:5] for row in rows] == [
+            [name, str(dimension), str(points), "3", "3"]
+            for name, points in (("odds", x_nodes), ("smm", 11),
+                                 ("fdscn", 11))]
+        # each scheme draws one noise trajectory per repeat
+        assert result.manifest["per_trajectory_seeds"] == [[0, 0], [0, 1],
+                                                           [0, 2]]
         assert "write" in result.manifest["stage_seconds"]
+
+    def test_gaussian2d_manifest_lists_the_one_trajectory_drawn(self,
+                                                                tmp_path):
+        # every eps of the sweep draws trajectory 0, whatever
+        # config.trajectories says
+        cfg = from_mapping({"kind": "gaussian2d", "elements": 2, "degree": 5,
+                            "elements_y": 2, "degree_y": 5, "modes": 6,
+                            "modes_y": 6, "eps": 1.0, "trajectories": 2,
+                            "seed": 4, "tau": 0.02, "t_final": 0.02,
+                            "snapshot_times": [0.0],
+                            "output_dir": str(tmp_path)})
+        result = run_experiment(cfg, workers=1)
+        assert result.manifest["per_trajectory_seeds"] == [[4, 0]]
 
 
 class TestCLI:

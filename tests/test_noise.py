@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from odds_nls.noise import (AggregatedNoise, MemoizedNoise, NoiseModel1D,
-                            NoiseModel2D, sample_increment)
+                            NoiseModel2D)
 
 
 @pytest.fixture
@@ -76,18 +76,6 @@ def test_trajectories_differ(grid):
     a = model.trajectory(0).mode_increments(0, 0.1)
     b = model.trajectory(1).mode_increments(0, 0.1)
     assert np.max(np.abs(a - b)) > 1e-3
-
-
-def test_sample_advances_cursor(grid):
-    model = NoiseModel1D.build(-1.0, 1.0, grid, modes=8, seed=2)
-    t = model.trajectory(0)
-    first = sample_increment(t, 0.0, 0.1)
-    second = sample_increment(t, 0.1, 0.2)
-    np.testing.assert_array_equal(first.values,
-                                  model.trajectory(0).increment_at(0, 0.0, 0.1).values)
-    np.testing.assert_array_equal(second.values,
-                                  model.trajectory(0).increment_at(1, 0.1, 0.2).values)
-    assert first.t_from == 0.0 and second.t_to == pytest.approx(0.2)
 
 
 def test_aggregated_increments_sum_fine_blocks(grid):

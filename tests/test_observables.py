@@ -5,7 +5,7 @@ from odds_nls.mesh import build_mesh
 from odds_nls.observables import (averaged_energy_growth, discrete_charge,
                                   discrete_charge_2d, discrete_energy,
                                   discrete_energy_2d, fit_order,
-                                  mean_square_error, trapezoid_weights)
+                                  trapezoid_weights)
 
 
 class TestQuadrature:
@@ -98,17 +98,6 @@ class TestGrowthFit:
 
 
 class TestErrorAndOrder:
-    def test_mean_square_error_hand_value(self):
-        w = np.array([0.5, 1.0, 0.5])
-        coarse = np.array([[1.0 + 0j, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        ref = np.zeros((2, 3), complex)
-        # per-trajectory weighted squares: 0.5 and 1.0 -> mean 0.75
-        assert mean_square_error(coarse, ref, w) == pytest.approx(np.sqrt(0.75))
-
-    def test_mean_square_error_rejects_unpaired_shapes(self):
-        with pytest.raises(ValueError):
-            mean_square_error(np.zeros((2, 3)), np.zeros((3, 3)), np.ones(3))
-
     def test_fit_order_on_synthetic_power_law(self):
         taus = 2.0 ** -np.arange(4, 10)
         errors = 3.0 * taus ** 1.5

@@ -268,7 +268,7 @@ class TestStep2D:
                  + 1j * rng.standard_normal((mesh.nodes.size, 9)))
 
         zero = block.copy()
-        _sweep_lines(zero, system, TIGHT, None, None, None, None)
+        _sweep_lines(zero, system, TIGHT)
         for j in range(block.shape[1]):
             line = block[:, j].copy()
             line[0] = line[-1] = 0.0
@@ -279,7 +279,8 @@ class TestStep2D:
         ro = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         ln, rn = 1.1 * lo, 0.7 * ro
         data = block.copy()
-        _sweep_lines(data, system, TIGHT, lo, ro, ln, rn)
+        _sweep_lines(data, system, TIGHT,
+                     (np.array([lo, ro]), np.array([ln, rn])))
         for j in range(block.shape[1]):
             line = block[:, j].copy()
             line[0], line[-1] = lo[j], ro[j]
