@@ -1,18 +1,28 @@
-"""Uniform-grid reference schemes used for efficiency comparisons.
+"""Uniform-grid reference schemes for the efficiency comparison.
 
-Two implicit schemes on equispaced grids with zero Dirichlet data:
+Two implicit finite-difference schemes on equispaced grids with zero
+Dirichlet data:
 
-* SMM: midpoint box scheme with half-node (1D) / quarter-node (2D)
-  averaging of the cubic and noise terms; conserves the discrete charge.
-* FDSCN: splitting scheme; an implicit nonlinear Crank-Nicolson stage for
-  the deterministic part followed by an exact pointwise noise phase.
+* SMM, the stochastic multi-symplectic method (Jiang, Wang & Hong, Commun.
+  Comput. Phys. 2013): a midpoint box scheme whose cubic and noise terms
+  are averaged over the cells around each node; it conserves the discrete
+  charge <S u, u>.
+* FDSCN, the finite-difference splitting Crank-Nicolson scheme (Cui, Hong,
+  Liu & Zhou, J. Differential Equations 2019): an implicit nonlinear
+  Crank-Nicolson stage for the deterministic part followed by an exact
+  pointwise noise phase.
 
-Both resolve their implicit stage by fixed-point iteration. The linear
-part is constant, so each scheme solves it with one LU factor (LUSolver,
-as the collocation stepper does), built on the first step and reused by
-every iteration of every later step.
+Each scheme has one step for one or two axes; on two axes it is the
+tensor form of the same step, so SMM2D and FDSCN2D only build the tensor
+operators. Both resolve their implicit stage by fixed-point iteration.
+The linear part is constant, so each scheme solves it with one LU factor
+(LUSolver, as the collocation stepper does), built on the first step and
+reused by every iteration of every later step.
 """
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,22 +87,77 @@ def _fixed_point(apply_rhs, lu: LUSolver, v0, opts, label: str
                        f"{FP_MAXITER} iterations (last update {delta:.3e})")
 
 
+def _corner_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of a over the 2^d corners of each cell of its d-axis grid.
+
+    On each axis the upper end is added before the lower one: in 2D the
+    order is (upper, upper), (upper, lower), (lower, upper), (lower, lower).
+    A fixed order fixes the rounding of the sum.
+    """
+    ends = (slice(1, None), slice(None, -1))
+    return functools.reduce(operator.add, (
+        a[corner] for corner in itertools.product(ends, repeat=a.ndim)))
+
+
+def _centres(u: np.ndarray) -> np.ndarray:
+    """Mean of node values u over the corners of each cell."""
+    return 0.5 ** u.ndim * _corner_sum(u)
+
+
 def _half_cubic(u: np.ndarray) -> np.ndarray:
-    """Sum of |.|^2 (.) over the two adjacent half nodes, interior output."""
-    half = 0.5 * (u[1:] + u[:-1])
-    cub = np.abs(half) ** 2 * half
-    return cub[:-1] + cub[1:]
+    """Sum of |.|^2 (.) over the cell centres around each interior node."""
+    centre = _centres(u)
+    return _corner_sum(np.abs(centre) ** 2 * centre)
 
 
 def _half_pair(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sum of (u w) over the two adjacent half nodes, interior output."""
-    half_u = 0.5 * (u[1:] + u[:-1])
-    half_w = 0.5 * (w[1:] + w[:-1])
-    prod = half_u * half_w
-    return prod[:-1] + prod[1:]
+    """Sum of (u w) over the cell centres around each interior node."""
+    return _corner_sum(_centres(u) * _centres(w))
 
 
-class SMM1D:
+def _tensor_operators(grids, averaged: bool):
+    """Weight W and Laplacian L on the interior of a grid of one or two axes.
+
+    Each axis has its second-difference matrix L and its weight W, the
+    half-node averaging matrix when averaged, else the identity. On two axes
+    the interior is flattened in C order, W = Wx (x) Wy and
+    L = Lx (x) Wy + Wx (x) Ly.
+    """
+    ns = [grid.nodes.size - 2 for grid in grids]
+    Ws = [averaging_1d(n) if averaged else sp.identity(n) for n in ns]
+    Ls = [laplacian_1d(n, grid.h) for n, grid in zip(ns, grids)]
+    W, L = Ws[0], Ls[0]
+    for W_axis, L_axis in zip(Ws[1:], Ls[1:]):
+        W, L = sp.kron(W, W_axis), sp.kron(L, W_axis) + sp.kron(W, L_axis)
+    return W.tocsr(), L.tocsr()
+
+
+class _UniformScheme:
+    """Parameters and constant implicit matrix of a reference scheme.
+
+    G is the real form of S + i theta tau L, with S and L from
+    _tensor_operators on the scheme's grids: S is the averaging weight when
+    averaged, else the identity. The step works on the interior of a field
+    of one or two axes, flattened in C order to solve with G.
+    """
+
+    averaged: bool
+    theta: float
+
+    def _build(self, grids, tau: float, lam: float, eps: float,
+               opts: SolverOptions | None) -> None:
+        self.grids = grids
+        self.shape = tuple(grid.nodes.size - 2 for grid in grids)
+        self.tau = tau
+        self.lam = lam
+        self.eps = eps
+        self.opts = opts or SolverOptions()
+        self.S, self.L = _tensor_operators(grids, self.averaged)
+        self.G = implicit_pair(self.S, self.theta * tau * self.L)
+        self.lu = LUSolver(self.G)
+
+
+class SMM1D(_UniformScheme):
     """Multi-symplectic box scheme, zero Dirichlet data.
 
     Midpoint form solved per step: (S + i tau L) v = S u^n - (i tau / 2) g(v)
@@ -101,41 +166,35 @@ class SMM1D:
     half nodes. The new state is 2v - u^n.
     """
 
+    averaged = True
+    theta = 1.0
+
     def __init__(self, grid: UniformGrid1D, tau: float, lam: float, eps: float,
                  opts: SolverOptions | None = None):
-        self.grid = grid
-        self.tau = tau
-        self.lam = lam
-        self.eps = eps
-        self.opts = opts or SolverOptions()
-        n_int = grid.nodes.size - 2
-        self.S = averaging_1d(n_int)
-        self.L = laplacian_1d(n_int, grid.h)
-        self.G = implicit_pair(self.S, tau * self.L)
-        self.lu = LUSolver(self.G)
+        self._build((grid,), tau, lam, eps, opts)
 
     def step(self, u: np.ndarray, dw: np.ndarray | None = None) -> np.ndarray:
-        un = u[1:-1]
+        inner = (slice(1, -1),) * u.ndim
+        un = u[inner].reshape(-1)
         su = self.S @ un
         if self.eps != 0.0:
             wdot = dw / self.tau
-        full = u.copy()
 
         def rhs(v):
             vfull = np.zeros_like(u)
-            vfull[1:-1] = v
+            vfull[inner] = v.reshape(self.shape)
             g = self.lam * _half_cubic(vfull)
             if self.eps != 0.0:
                 g = g + self.eps * _half_pair(vfull, wdot)
-            return su - 0.5j * self.tau * g
+            return su - 0.5j * self.tau * g.reshape(-1)
 
         v = _fixed_point(rhs, self.lu, un.copy(), self.opts, "SMM")
-        full[1:-1] = 2.0 * v - un
-        full[0] = full[-1] = 0.0
+        full = np.zeros_like(u)
+        full[inner] = (2.0 * v - un).reshape(self.shape)
         return full
 
 
-class FDSCN1D:
+class FDSCN1D(_UniformScheme):
     """Splitting Crank-Nicolson on a uniform grid, zero Dirichlet data.
 
     Stage one solves the implicit midpoint system
@@ -143,137 +202,55 @@ class FDSCN1D:
     stage two applies the exact noise phase exp(-i eps dW).
     """
 
+    averaged = False
+    theta = 0.5
+
     def __init__(self, grid: UniformGrid1D, tau: float, lam: float, eps: float,
                  opts: SolverOptions | None = None):
-        self.grid = grid
-        self.tau = tau
-        self.lam = lam
-        self.eps = eps
-        self.opts = opts or SolverOptions()
-        n_int = grid.nodes.size - 2
-        self.L = laplacian_1d(n_int, grid.h)
-        self.G = implicit_pair(sp.identity(n_int, format="csr"),
-                               (tau / 2.0) * self.L)
-        self.lu = LUSolver(self.G)
+        self._build((grid,), tau, lam, eps, opts)
 
     def _nonlinear_stage(self, un: np.ndarray) -> np.ndarray:
-        sq_n = np.abs(un) ** 2
+        """u* of stage one from the interior values un, in un's shape."""
+        flat = un.reshape(-1)
+        sq_n = np.abs(flat) ** 2
 
         def rhs(m):
-            star = 2.0 * m - un
+            star = 2.0 * m - flat
             factor = self.lam / 4.0 * (sq_n + np.abs(star) ** 2)
-            return un - 1j * self.tau * factor * m
+            return flat - 1j * self.tau * factor * m
 
-        m = _fixed_point(rhs, self.lu, un.copy(), self.opts, "FDSCN")
-        return 2.0 * m - un
+        m = _fixed_point(rhs, self.lu, flat.copy(), self.opts, "FDSCN")
+        return (2.0 * m - flat).reshape(un.shape)
 
     def step(self, u: np.ndarray, dw: np.ndarray | None = None) -> np.ndarray:
-        full = u.copy()
-        star = self._nonlinear_stage(u[1:-1])
+        inner = (slice(1, -1),) * u.ndim
+        full = np.zeros_like(u)
+        full[inner] = self._nonlinear_stage(u[inner])
         if self.eps != 0.0:
-            star = star * np.exp(-1j * self.eps * dw[1:-1])
-        full[1:-1] = star
-        full[0] = full[-1] = 0.0
+            full[inner] *= np.exp(-1j * self.eps * dw[inner])
         return full
 
 
-def _quarter_cubic(u: np.ndarray) -> np.ndarray:
-    q = 0.25 * (u[1:, 1:] + u[1:, :-1] + u[:-1, 1:] + u[:-1, :-1])
-    cub = np.abs(q) ** 2 * q
-    return cub[1:, 1:] + cub[1:, :-1] + cub[:-1, 1:] + cub[:-1, :-1]
+class SMM2D(SMM1D):
+    """SMM on a uniform rectangle: the 1D step with tensor operators.
 
-
-def _quarter_pair(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    qu = 0.25 * (u[1:, 1:] + u[1:, :-1] + u[:-1, 1:] + u[:-1, :-1])
-    qw = 0.25 * (w[1:, 1:] + w[1:, :-1] + w[:-1, 1:] + w[:-1, :-1])
-    prod = qu * qw
-    return prod[1:, 1:] + prod[1:, :-1] + prod[:-1, 1:] + prod[:-1, :-1]
-
-
-class SMM2D:
-    """Tensor box generalisation of the 1D scheme on a uniform rectangle.
-
-    LHS averaging is Sx (x) Sy; the Laplacian enters as
-    Lxx (x) Sy + Sx (x) Lyy; cubic and noise terms are summed over the four
-    adjacent quarter-node values. Interior unknowns are flattened C-order.
+    S = Sx (x) Sy, L = Lx (x) Sy + Sx (x) Ly, and the cubic and noise terms
+    are summed over the four cells around each node.
     """
 
     def __init__(self, grid_x: UniformGrid1D, grid_y: UniformGrid1D,
                  tau: float, lam: float, eps: float,
                  opts: SolverOptions | None = None):
-        self.grid_x = grid_x
-        self.grid_y = grid_y
-        self.tau = tau
-        self.lam = lam
-        self.eps = eps
-        self.opts = opts or SolverOptions()
-        nx = grid_x.nodes.size - 2
-        ny = grid_y.nodes.size - 2
-        self.shape = (nx, ny)
-        Sx, Sy = averaging_1d(nx), averaging_1d(ny)
-        Lx, Ly = laplacian_1d(nx, grid_x.h), laplacian_1d(ny, grid_y.h)
-        self.S2 = sp.kron(Sx, Sy, format="csr")
-        L2 = sp.kron(Lx, Sy) + sp.kron(Sx, Ly)
-        self.G = implicit_pair(self.S2, tau * L2.tocsr())
-        self.lu = LUSolver(self.G)
-
-    def step(self, u: np.ndarray, dw: np.ndarray | None = None) -> np.ndarray:
-        un = u[1:-1, 1:-1]
-        su = self.S2 @ un.reshape(-1)
-        if self.eps != 0.0:
-            wdot = dw / self.tau
-
-        def rhs(v):
-            vfull = np.zeros_like(u)
-            vfull[1:-1, 1:-1] = v.reshape(self.shape)
-            g = self.lam * _quarter_cubic(vfull)
-            if self.eps != 0.0:
-                g = g + self.eps * _quarter_pair(vfull, wdot)
-            return su - 0.5j * self.tau * g.reshape(-1)
-
-        v = _fixed_point(rhs, self.lu, un.reshape(-1).copy(), self.opts, "SMM")
-        full = np.zeros_like(u)
-        full[1:-1, 1:-1] = (2.0 * v - un.reshape(-1)).reshape(self.shape)
-        return full
+        self._build((grid_x, grid_y), tau, lam, eps, opts)
 
 
-class FDSCN2D:
-    """Splitting Crank-Nicolson with the five-point Laplacian, zero data."""
+class FDSCN2D(FDSCN1D):
+    """FDSCN on a uniform rectangle, with the five-point Laplacian."""
 
     def __init__(self, grid_x: UniformGrid1D, grid_y: UniformGrid1D,
                  tau: float, lam: float, eps: float,
                  opts: SolverOptions | None = None):
-        self.grid_x = grid_x
-        self.grid_y = grid_y
-        self.tau = tau
-        self.lam = lam
-        self.eps = eps
-        self.opts = opts or SolverOptions()
-        nx = grid_x.nodes.size - 2
-        ny = grid_y.nodes.size - 2
-        self.shape = (nx, ny)
-        L2 = (sp.kron(laplacian_1d(nx, grid_x.h), sp.identity(ny))
-              + sp.kron(sp.identity(nx), laplacian_1d(ny, grid_y.h)))
-        self.G = implicit_pair(sp.identity(nx * ny, format="csr"),
-                               (tau / 2.0) * L2.tocsr())
-        self.lu = LUSolver(self.G)
-
-    def step(self, u: np.ndarray, dw: np.ndarray | None = None) -> np.ndarray:
-        un = u[1:-1, 1:-1].reshape(-1)
-        sq_n = np.abs(un) ** 2
-
-        def rhs(m):
-            star = 2.0 * m - un
-            factor = self.lam / 4.0 * (sq_n + np.abs(star) ** 2)
-            return un - 1j * self.tau * factor * m
-
-        m = _fixed_point(rhs, self.lu, un.copy(), self.opts, "FDSCN")
-        star = 2.0 * m - un
-        full = np.zeros_like(u)
-        full[1:-1, 1:-1] = star.reshape(self.shape)
-        if self.eps != 0.0:
-            full[1:-1, 1:-1] *= np.exp(-1j * self.eps * dw[1:-1, 1:-1])
-        return full
+        self._build((grid_x, grid_y), tau, lam, eps, opts)
 
 
 def run_uniform_trajectory(method, u0: np.ndarray, n_steps: int,

@@ -250,8 +250,7 @@ _LAYOUT_1D = {
 }
 
 
-def _trajectory_ctx(config):
-    mesh, = _mesh_axes(config, 1)
+def _trajectory_ctx(config, mesh):
     u0, model = _start(config, _LAYOUT_1D[config.kind][0], [mesh])
     return config, mesh, u0, model
 
@@ -278,7 +277,7 @@ def run_trajectories_1d(config: ExperimentConfig,
     t0 = time.perf_counter()
     mesh, = _mesh_axes(config, 1)
     trajectories = range(config.trajectories)
-    results = _farm(partial(_trajectory_ctx, config), _trajectory_job,
+    results = _farm(partial(_trajectory_ctx, config, mesh), _trajectory_job,
                     trajectories, workers)
     t_run = time.perf_counter() - t0
 

@@ -185,12 +185,8 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     options = options or RunOptions()
-    two_d = isinstance(mesh, tuple)
-    if two_d:
-        mesh_x, mesh_y = mesh
-        expected = (mesh_x.n_nodes, mesh_y.n_nodes)
-    else:
-        expected = (mesh.n_nodes,)
+    axes = mesh if isinstance(mesh, tuple) else (mesh,)
+    expected = tuple(axis.n_nodes for axis in axes)
     values = np.array(u0, dtype=complex)
     if values.shape != expected:
         raise ValueError(f"u0 shape {values.shape}, mesh wants {expected}")
@@ -200,22 +196,18 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
         if not 0 <= s <= n_steps:
             raise ValueError(f"snapshot step {s} outside [0, {n_steps}]")
 
-    if two_d:
-        system_x = build_cn_system(mesh_x, tau)
-        system_y = build_cn_system(mesh_y, tau)
-        d1x = assemble_global(mesh_x, 1)
-        d1y = assemble_global(mesh_y, 1)
-
-        def invariants(v):
-            return (discrete_charge_2d(v, mesh_x.nodes, mesh_y.nodes),
-                    discrete_energy_2d(v, mesh_x, mesh_y, d1x, d1y))
+    systems = [build_cn_system(axis, tau) for axis in axes]
+    if len(axes) == 1:
+        step, charge, energy = odds_step_1d, discrete_charge, discrete_energy
     else:
-        system = build_cn_system(mesh, tau)
-        d1 = assemble_global(mesh, 1)
+        step, charge, energy = (odds_step_2d, discrete_charge_2d,
+                                discrete_energy_2d)
+    if options.record_invariants:
+        d1 = [assemble_global(axis, 1) for axis in axes]
 
         def invariants(v):
-            return (discrete_charge(v, mesh.nodes),
-                    discrete_energy(v, mesh, d1))
+            return (charge(v, *(axis.nodes for axis in axes)),
+                    energy(v, *axes, *d1))
 
     wanted = set(options.snapshot_steps)
     snapshots = {}
@@ -235,12 +227,8 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
         if problem.eps != 0.0:
             dw = options.noise.increment_at(k, t, t + tau).values
         try:
-            if two_d:
-                values = odds_step_2d(values, t, tau, problem, mesh_x, mesh_y,
-                                      system_x, system_y, options.solver, dw)
-            else:
-                values = odds_step_1d(values, t, tau, problem, mesh, system,
-                                      options.solver, dw)
+            values = step(values, t, tau, problem, *axes, *systems,
+                          options.solver, dw)
         except KrylovError as err:
             raise StepFailure(
                 f"linear solve failed at step {k} (t = {t:.6g}): {err}",

@@ -15,6 +15,17 @@ def exact_soliton(x, t):
     return np.sqrt(2.0) / np.cosh(x) * np.exp(-1j * t)
 
 
+def gaussian_plane():
+    """A 25x21 grid on [-4, 4]^2 and a Gaussian on it with zero edges."""
+    gx = uniform_grid_1d(-4.0, 4.0, 25)
+    gy = uniform_grid_1d(-4.0, 4.0, 21)
+    X, Y = np.meshgrid(gx.nodes, gy.nodes, indexing="ij")
+    u0 = np.exp(-(X**2 + Y**2)).astype(complex)
+    u0[0, :] = u0[-1, :] = 0.0
+    u0[:, 0] = u0[:, -1] = 0.0
+    return gx, gy, u0
+
+
 def test_grid_construction_and_validation():
     g = uniform_grid_1d(-1.0, 3.0, 5)
     assert isinstance(g, UniformGrid1D)
@@ -136,62 +147,70 @@ class TestFDSCN1D:
 
 
 class TestImplicitEquations:
-    # one step on the efficiency experiment's grid with default solver
-    # options: the fixed point must run until the update stalls at rounding
-    # level, so the step satisfies the implicit equation it claims to solve
-    # far below the linear solver's residual tolerance
-    def setup_method(self):
-        from odds_nls.config import builtin_configs
-        from odds_nls.experiments import soliton_datum
-        cfg = builtin_configs()["efficiency"]
-        self.cfg = cfg
-        self.grid = uniform_grid_1d(cfg.x_left, cfg.x_right,
-                                    cfg.uniform_points)
-        self.u = soliton_datum(self.grid.nodes)
-        self.u[0] = self.u[-1] = 0.0
-        model = NoiseModel1D.build(cfg.x_left, cfg.x_right, self.grid.nodes,
-                                   modes=cfg.modes, seed=cfg.seed)
-        self.dw = model.trajectory(0).increment_at(0, 0.0, cfg.tau).values
+    # one noisy step with default solver options, in 1D on the efficiency
+    # experiment's grid and in 2D on TestUniform2D's grid: the fixed point
+    # must run until the update stalls at rounding level, so the step
+    # satisfies the implicit equation it claims to solve far below the
+    # linear solver's residual tolerance
+    @pytest.fixture(params=[1, 2], ids=["1d", "2d"])
+    def case(self, request):
+        if request.param == 1:
+            from odds_nls.config import builtin_configs
+            from odds_nls.experiments import soliton_datum
+            cfg = builtin_configs()["efficiency"]
+            grid = uniform_grid_1d(cfg.x_left, cfg.x_right,
+                                   cfg.uniform_points)
+            u = soliton_datum(grid.nodes)
+            u[0] = u[-1] = 0.0
+            model = NoiseModel1D.build(cfg.x_left, cfg.x_right, grid.nodes,
+                                       modes=cfg.modes, seed=cfg.seed)
+            grids, schemes = (grid,), (SMM1D, FDSCN1D)
+            tau, lam, eps = cfg.tau, cfg.lam, cfg.eps
+        else:
+            gx, gy, u = gaussian_plane()
+            model = NoiseModel2D.build(-4.0, 4.0, -4.0, 4.0, gx.nodes,
+                                       gy.nodes, modes_x=10, modes_y=10,
+                                       seed=2)
+            grids, schemes = (gx, gy), (SMM2D, FDSCN2D)
+            tau, lam, eps = 0.01, 1.0, 0.5
+        dw = model.trajectory(0).increment_at(0, 0.0, tau).values
+        return grids, schemes, u, dw, tau, lam, eps
 
-    def test_smm1d_step_solves_its_midpoint_equation(self):
+    def test_smm_step_solves_its_midpoint_equation(self, case):
         from odds_nls.baselines import _half_cubic, _half_pair
-        cfg, u = self.cfg, self.u
-        m = SMM1D(self.grid, cfg.tau, cfg.lam, cfg.eps)
-        u_new = m.step(u, self.dw)
+        grids, (smm, _), u, dw, tau, lam, eps = case
+        m = smm(*grids, tau, lam, eps)
+        u_new = m.step(u, dw)
         vfull = 0.5 * (u_new + u)
-        v = vfull[1:-1]
-        g = (cfg.lam * _half_cubic(vfull)
-             + cfg.eps * _half_pair(vfull, self.dw / cfg.tau))
-        lhs = m.S @ v + 1j * cfg.tau * (m.L @ v)
-        rhs = m.S @ u[1:-1] - 0.5j * cfg.tau * g
+        inner = (slice(1, -1),) * u.ndim
+        v = vfull[inner].reshape(-1)
+        g = lam * _half_cubic(vfull) + eps * _half_pair(vfull, dw / tau)
+        lhs = m.S @ v + 1j * tau * (m.L @ v)
+        rhs = m.S @ u[inner].reshape(-1) - 0.5j * tau * g.reshape(-1)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
-    def test_fdscn1d_stage_solves_its_crank_nicolson_equation(self):
-        cfg, un = self.cfg, self.u[1:-1]
-        m = FDSCN1D(self.grid, cfg.tau, cfg.lam, cfg.eps)
+    def test_fdscn_stage_solves_its_crank_nicolson_equation(self, case):
+        grids, (_, fdscn), u, _, tau, lam, eps = case
+        m = fdscn(*grids, tau, lam, eps)
+        un = u[(slice(1, -1),) * u.ndim].reshape(-1)
         star = m._nonlinear_stage(un)
         mid = 0.5 * (star + un)
-        lhs = mid + 0.5j * cfg.tau * (m.L @ mid)
-        rhs = un - 1j * cfg.tau * cfg.lam / 4.0 * (
+        lhs = mid + 0.5j * tau * (m.L @ mid)
+        rhs = un - 1j * tau * lam / 4.0 * (
             np.abs(un) ** 2 + np.abs(star) ** 2) * mid
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 class TestUniform2D:
     def setup_method(self):
-        self.gx = uniform_grid_1d(-4.0, 4.0, 25)
-        self.gy = uniform_grid_1d(-4.0, 4.0, 21)
-        X, Y = np.meshgrid(self.gx.nodes, self.gy.nodes, indexing="ij")
-        self.u0 = np.exp(-(X**2 + Y**2)).astype(complex)
-        self.u0[0, :] = self.u0[-1, :] = 0.0
-        self.u0[:, 0] = self.u0[:, -1] = 0.0
+        self.gx, self.gy, self.u0 = gaussian_plane()
 
     def test_smm2d_conserves_tensor_averaged_charge(self):
         m = SMM2D(self.gx, self.gy, tau=0.01, lam=1.0, eps=0.0, opts=TIGHT)
 
         def s_charge(v):
             vi = v[1:-1, 1:-1].reshape(-1)
-            return float(np.real(np.conj(vi) @ (m.S2 @ vi)))
+            return float(np.real(np.conj(vi) @ (m.S @ vi)))
 
         u = self.u0.copy()
         q0 = s_charge(u)
@@ -236,19 +255,25 @@ class TestDriver:
         u0 = np.sin(np.pi * (grid.nodes + 1.0)) + 0j
         run_uniform_trajectory(m, u0, 2, noise=Boom())
 
-    def test_each_scheme_factors_its_matrix_once(self, monkeypatch):
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    def test_each_scheme_factors_its_matrix_once(self, monkeypatch,
+                                                 dimension):
         import scipy.sparse.linalg
         calls = []
         real = scipy.sparse.linalg.splu
         monkeypatch.setattr(scipy.sparse.linalg, "splu",
                             lambda A: calls.append(A.shape) or real(A))
         grid = uniform_grid_1d(-2.0, 2.0, 21)
-        u0 = np.sin(np.pi * (grid.nodes + 2.0) / 4.0) + 0j
-        schemes = [SMM1D(grid, 0.01, 1.0, 0.0), FDSCN1D(grid, 0.01, 1.0, 0.0)]
+        line = np.sin(np.pi * (grid.nodes + 2.0) / 4.0) + 0j
+        u0 = line if dimension == 1 else np.outer(line, line)
+        classes = [(SMM1D, FDSCN1D), (SMM2D, FDSCN2D)][dimension - 1]
+        grids = (grid,) * dimension
+        schemes = [cls(*grids, 0.01, 1.0, 0.0) for cls in classes]
         assert calls == []                  # constructors do not factor
         for m in schemes:
             run_uniform_trajectory(m, u0, 3)
-        assert calls == [(38, 38), (38, 38)]
+        size = 2 * 19 ** dimension
+        assert calls == [(size, size), (size, size)]
 
     def test_noisy_run_reproducible(self):
         grid = uniform_grid_1d(-2.0, 2.0, 21)

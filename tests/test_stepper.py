@@ -199,6 +199,28 @@ class TestRunTrajectory:
         with pytest.raises(ValueError):
             run_trajectory(np.zeros(3, complex), mesh, problem, 0.01, 1)
 
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    def test_assembles_only_the_cn_operators_without_invariants(
+            self, monkeypatch, dimension):
+        # the first-derivative matrix serves the energy only: a run that
+        # records no invariants assembles one D2 per axis and nothing else
+        import odds_nls.linalg
+        import odds_nls.stepper
+        orders = []
+
+        def counted(mesh, order=2):
+            orders.append(order)
+            return assemble_global(mesh, order)
+
+        for module in (odds_nls.linalg, odds_nls.stepper):
+            monkeypatch.setattr(module, "assemble_global", counted)
+        axes = (build_mesh(-1.0, 1.0, 2, 6),) * dimension
+        u0 = np.zeros(tuple(axis.n_nodes for axis in axes), complex)
+        mesh = axes if dimension == 2 else axes[0]
+        run_trajectory(u0, mesh, ProblemSpec(), 0.01, 2,
+                       options=RunOptions(record_invariants=False))
+        assert orders == [2] * dimension
+
 
 class TestStep2D:
     def test_separable_free_evolution_is_tensor_of_line_solves(self):
