@@ -11,6 +11,10 @@ byte-identical.
 
 ``timings.csv`` (efficiency) holds measured times, so its hash differs from
 run to run.
+
+The BLAS and OpenMP thread counts default to 1, set before numpy loads,
+because gaussian2d's bytes depend on them; an ``OPENBLAS_NUM_THREADS`` or
+``OMP_NUM_THREADS`` already in the environment is kept.
 """
 
 import argparse
@@ -20,8 +24,12 @@ import os
 import sys
 import tempfile
 
-from odds_nls.config import ConfigError, apply_overrides, builtin_configs
-from odds_nls.experiments import run_experiment
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+from odds_nls.config import (ConfigError, apply_overrides,  # noqa: E402
+                             builtin_configs)
+from odds_nls.experiments import run_experiment  # noqa: E402
 
 
 def main() -> int:

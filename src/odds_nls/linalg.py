@@ -3,8 +3,9 @@
 The linear half-step for i du = u_xx dt is written as (A kron B + C) U = rhs
 with A = diag(-tau/2, tau/2), B the interior second-derivative block, C the
 swap matrix [[0, I], [I, 0]], and U the stacked real vector [imag; real] of
-interior values. Boundary data enters through an affine forcing term built
-from the two boundary columns of the global operator.
+interior values of one line, or one such column per line for a block of
+lines that share the operator. Boundary data enters through an affine
+forcing term built from the two boundary columns of the global operator.
 
 The matrix depends only on the mesh and tau, so every time step solves it
 with one sparse LU factor (LUSolver), built on the first solve. The
@@ -147,10 +148,10 @@ class LUSolver:
 
     def solve(self, b: np.ndarray, opts: SolverOptions | None = None
               ) -> np.ndarray:
-        """Solve G x = b for a vector b or for every column of a 2D b.
+        """Solve G x = b for one line's b or every column of a block's b.
 
         The factor's solution starts krylov_solve (krylov_solve_block for a
-        2D b): one matvec checks its residual against opts.residual_tol, and
+        block): one matvec checks its residual against opts.residual_tol, and
         only a solution that misses it is refined by Arnoldi cycles. Raises
         KrylovError when those give up, and at once when the residual is not
         finite (a NaN or inf in b).
@@ -190,7 +191,7 @@ class CNSystem:
     B_boundary: sp.csr_matrix   # (n_int, 2) couplings to the two end nodes
     tau: float
     n_interior: int
-    F: np.ndarray = field(default=None)  # forcing for the stored boundary data
+    F: np.ndarray = field(default=None)  # zero forcing of homogeneous data
     lu: LUSolver = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -209,28 +210,19 @@ class CNSystem:
                                -half * (self.B_boundary @ total.real)])
 
 
-def build_cn_system(mesh: OverlapMesh1D, tau: float,
-                    boundary_values: tuple[tuple[complex, complex],
-                                           tuple[complex, complex]] | None = None
-                    ) -> CNSystem:
+def build_cn_system(mesh: OverlapMesh1D, tau: float) -> CNSystem:
     """Assemble the CN system for one mesh and step size.
 
-    boundary_values, if given, is ((left_n, right_n), (left_np1, right_np1));
-    omitted means homogeneous Dirichlet data and a zero forcing vector.
+    Its forcing F is the zero vector of homogeneous Dirichlet data.
     """
     B, Bb = split_interior_boundary(assemble_global(mesh, 2))
     G, Gp = cn_pair_from_operator(B, tau)
-    system = CNSystem(G=G, G_explicit=Gp, B=B, B_boundary=Bb, tau=tau,
-                      n_interior=B.shape[0])
-    if boundary_values is None:
-        system.F = np.zeros(2 * system.n_interior)
-    else:
-        system.F = system.boundary_forcing(*boundary_values)
-    return system
+    return CNSystem(G=G, G_explicit=Gp, B=B, B_boundary=Bb, tau=tau,
+                    n_interior=B.shape[0], F=np.zeros(2 * B.shape[0]))
 
 
 def stack_real(u: np.ndarray) -> np.ndarray:
-    """Complex interior vector -> stacked real unknown [imag; real]."""
+    """Complex interior line or block -> stacked real unknown [imag; real]."""
     return np.concatenate([u.imag, u.real])
 
 
@@ -243,18 +235,24 @@ def cn_step_linear(system: CNSystem, u: np.ndarray,
                    opts: SolverOptions | None = None,
                    forcing: np.ndarray | None = None,
                    bc_new: tuple[complex, complex] | None = None) -> np.ndarray:
-    """Advance a full-grid complex field one linear CN step.
+    """Advance a line or a block of lines one linear CN step along axis 0.
 
-    The two end entries of the returned array are set to bc_new (or kept when
-    no new boundary data is supplied). Interior values are solved from the
-    stacked real system with the system's LU factor.
+    u is one full-grid complex line (n,) or a block (n, m) of m lines. The
+    two end rows of the returned array are set to bc_new, the (left, right)
+    values of one line or a (2, m) array of them, or kept when no new
+    boundary data is supplied. forcing is the stacked real affine term of
+    the boundary data (CNSystem.boundary_forcing), one column per line of a
+    block; None means the system's F, the zero forcing of homogeneous data.
+    Interior values are solved from the stacked real system with the
+    system's LU factor, all lines of a block at once.
 
     Raises KrylovError when neither the LU solution nor its Arnoldi
     refinement meets opts.residual_tol, and at once for a NaN or inf in u.
     """
     U = stack_real(u[1:-1])
-    rhs = system.G_explicit @ U + (system.F if forcing is None else forcing)
-    sol = system.lu.solve(rhs, opts)
+    if forcing is None:
+        forcing = system.F.reshape((-1,) + (1,) * (u.ndim - 1))
+    sol = system.lu.solve(system.G_explicit @ U + forcing, opts)
     out = np.empty_like(u)
     out[1:-1] = unstack_real(sol)
     if bc_new is None:

@@ -93,28 +93,25 @@ def assemble_global(mesh: OverlapMesh1D, order: int = 2) -> sp.csr_matrix:
     Every global node's derivative row comes from exactly one element:
     the first element supplies local rows 0..J-1, interior elements rows
     1..J-1, the last element rows 1..J. Elementwise blocks are the reference
-    matrix scaled by (2/width)^order.
+    matrix scaled by (2/width)^order. Exact zeros of the blocks are not
+    stored.
     """
     J, M = mesh.degree, mesh.n_elements
     D_ref = diff_matrix(J) if order == 1 else diff_matrix_higher(J, order)
     n = mesh.n_nodes
-    out = sp.lil_matrix((n, n))
-    for m in range(M):
-        lo, hi = mesh.element_bounds[m]
-        block = D_ref * (2.0 / (hi - lo)) ** order
-        cols = mesh.element_slice(m)
-        if M == 1:
-            rows_local = slice(0, J + 1)
-        elif m == 0:
-            rows_local = slice(0, J)
-        elif m == M - 1:
-            rows_local = slice(1, J + 1)
-        else:
-            rows_local = slice(1, J)
-        row0 = m * (J - 1) + rows_local.start
-        out[row0:row0 + (rows_local.stop - rows_local.start), cols] = \
-            block[rows_local, :]
-    return out.tocsr()
+    g = np.arange(n)
+    # element m's rows 1..J-1 are global rows m(J-1)+1 .. (m+1)(J-1); the
+    # clip hands row 0 to the first element and row n-1 to the last
+    owner = np.clip((g - 1) // (J - 1), 0, M - 1)
+    start = owner * (J - 1)
+    scale = np.array([(2.0 / (hi - lo)) ** order
+                      for lo, hi in mesh.element_bounds])
+    data = D_ref[g - start] * scale[owner, None]
+    indices = start[:, None] + np.arange(J + 1)
+    out = sp.csr_matrix((data.ravel(), indices.ravel(),
+                         np.arange(n + 1) * (J + 1)), shape=(n, n))
+    out.eliminate_zeros()
+    return out
 
 
 def split_interior_boundary(matrix: sp.spmatrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:

@@ -62,10 +62,36 @@ def nonlinear_flow(values: np.ndarray, tau: float, lam: float, eps: float,
     return values * np.exp(-1j * phase)
 
 
-def _bc_pair(problem: ProblemSpec, t_old: float, t_new: float, *coords):
-    """Complex boundary data at both time levels on the given points."""
-    return tuple(np.asarray(problem.boundary(t, *coords), dtype=complex)
-                 for t in (t_old, t_new))
+def _odds_step(values: np.ndarray, t: float, tau: float,
+               problem: ProblemSpec, meshes: tuple, systems: tuple,
+               opts: SolverOptions | None, dw: np.ndarray | None
+               ) -> np.ndarray:
+    """One step on one or two axes: the phase flow, then each axis's solve.
+
+    Along each axis in turn, every line over the interior of the other axis
+    shares that axis's CN system, so the lines are advanced by one
+    cn_step_linear call on the block of them, with their Dirichlet data at
+    t and t + tau.
+    """
+    w = nonlinear_flow(values, tau, problem.lam, problem.eps, dw)
+    for axis, system in enumerate(systems):
+        lines = w.swapaxes(0, axis)[:, 1:-1] if w.ndim == 2 else w
+        if problem.boundary is None:
+            # zero forcing is passed, not left to cn_step_linear's default:
+            # perfbench's tracer adds system.F, which fits one line only
+            lines[0] = lines[-1] = 0.0
+            forcing = np.zeros((2 * system.n_interior,) + lines.shape[1:])
+            bc_new = None
+        else:
+            coords = [mesh.nodes[1:-1] for mesh in meshes]
+            ends = meshes[axis].nodes[[0, -1]]
+            coords[axis] = ends[:, None] if w.ndim == 2 else ends
+            bc_old, bc_new = (
+                np.asarray(problem.boundary(at, *coords), dtype=complex)
+                for at in (t, t + tau))
+            forcing = system.boundary_forcing(bc_old, bc_new)
+        lines[...] = cn_step_linear(system, lines, opts, forcing, bc_new)
+    return w
 
 
 def odds_step_1d(values: np.ndarray, t: float, tau: float,
@@ -73,34 +99,7 @@ def odds_step_1d(values: np.ndarray, t: float, tau: float,
                  opts: SolverOptions | None = None,
                  dw: np.ndarray | None = None) -> np.ndarray:
     """One full 1D step from t to t + tau. Returns the new grid values."""
-    w = nonlinear_flow(values, tau, problem.lam, problem.eps, dw)
-    if problem.boundary is None:
-        w[0] = w[-1] = 0.0
-        return cn_step_linear(system, w, opts)
-    bc_old, bc_new = _bc_pair(problem, t, t + tau,
-                              np.array([mesh.x_left, mesh.x_right]))
-    w[0], w[-1] = bc_old
-    return cn_step_linear(system, w, opts,
-                          system.boundary_forcing(bc_old, bc_new), bc_new)
-
-
-def _sweep_lines(block: np.ndarray, system: CNSystem, opts,
-                 bc=None) -> None:
-    """Solve one CN step along axis 0 of block for every column, in place.
-
-    bc is the (old, new) pair of (2, m) arrays holding each column's
-    (left, right) Dirichlet data; None means homogeneous data. Every column
-    shares the line operator, so all columns are solved in one
-    multi-right-hand-side solve with the system's LU factor; each column
-    sees the linear step cn_step_linear would give it.
-    """
-    interior = block[1:-1, :]
-    U = np.vstack([interior.imag, interior.real])
-    forcing = system.F[:, None] if bc is None else system.boundary_forcing(*bc)
-    sol = system.lu.solve(system.G_explicit @ U + forcing, opts)
-    n = system.n_interior
-    block[1:-1, :] = sol[n:, :] + 1j * sol[:n, :]
-    block[0, :], block[-1, :] = (0.0, 0.0) if bc is None else bc[1]
+    return _odds_step(values, t, tau, problem, (mesh,), (system,), opts, dw)
 
 
 def _refresh_edges_2d(w: np.ndarray, problem: ProblemSpec, t: float,
@@ -123,17 +122,13 @@ def odds_step_2d(values: np.ndarray, t: float, tau: float,
                  mesh_y: OverlapMesh1D, system_x: CNSystem,
                  system_y: CNSystem, opts: SolverOptions | None = None,
                  dw: np.ndarray | None = None) -> np.ndarray:
-    """One full 2D step: nonlinear flow, then x-line solves, then y-line."""
-    w = nonlinear_flow(values, tau, problem.lam, problem.eps, dw)
-    bc_x = bc_y = None
-    if problem.boundary is not None:
-        xs, ys = mesh_x.nodes, mesh_y.nodes
-        bc_x = _bc_pair(problem, t, t + tau, xs[[0, -1], None], ys[1:-1])
-        bc_y = _bc_pair(problem, t, t + tau, xs[1:-1], ys[[0, -1], None])
-    _sweep_lines(w[:, 1:-1], system_x, opts, bc_x)
-    wt = np.ascontiguousarray(w[1:-1, :].T)
-    _sweep_lines(wt, system_y, opts, bc_y)
-    w[1:-1, :] = wt.T
+    """One full 2D step: nonlinear flow, then x-line solves, then y-line.
+
+    The sweeps leave the four corners untouched, so every edge is refreshed
+    from the boundary data at t + tau last.
+    """
+    w = _odds_step(values, t, tau, problem, (mesh_x, mesh_y),
+                   (system_x, system_y), opts, dw)
     _refresh_edges_2d(w, problem, t + tau, mesh_x, mesh_y)
     return w
 

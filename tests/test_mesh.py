@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from odds_nls.chebyshev import reference_nodes
+from odds_nls.chebyshev import (diff_matrix, diff_matrix_higher,
+                                reference_nodes)
 from odds_nls.mesh import (OverlapMesh1D, assemble_global, build_mesh,
                            element_width, split_interior_boundary)
 
@@ -96,19 +99,30 @@ class TestAssembly:
 
     def test_row_ownership_single_valued(self):
         # every global row is written by exactly one element, so the sparse
-        # matrix has no duplicate-accumulation artifacts: check one seam row
-        # against the owning element block directly
-        mesh = build_mesh(0.0, 1.0, 3, 5)
-        from odds_nls.chebyshev import diff_matrix
-        D = assemble_global(mesh, 1).toarray()
-        a, b = mesh.element_bounds[1]
-        local = diff_matrix(5) * (2.0 / (b - a))
-        sl = mesh.element_slice(1)
-        # interior rows 1..J-1 of element 1 own global rows sl.start+1 ..
-        for r in range(1, 5):
-            row = np.zeros(mesh.n_nodes)
-            row[sl] = local[r]
-            np.testing.assert_allclose(D[sl.start + r], row, atol=1e-12)
+        # matrix has no duplicate-accumulation artifacts: the first element
+        # owns local rows 0..J-1, interior ones 1..J-1, the last 1..J (a
+        # single element all of 0..J); each row equals its owner's scaled
+        # reference row, and no zero is stored
+        for M, J, order in itertools.product([1, 2, 3], [2, 5], [1, 2]):
+            mesh = build_mesh(-0.5, 2.0, M, J)
+            D_ref = (diff_matrix(J) if order == 1
+                     else diff_matrix_higher(J, order))
+            A = assemble_global(mesh, order)
+            want = np.zeros((mesh.n_nodes, mesh.n_nodes))
+            written = np.zeros(mesh.n_nodes, dtype=int)
+            for m in range(M):
+                a, b = mesh.element_bounds[m]
+                local = D_ref * (2.0 / (b - a)) ** order
+                sl = mesh.element_slice(m)
+                first = 0 if m == 0 else 1
+                last = J if m == M - 1 else J - 1
+                for r in range(first, last + 1):
+                    want[sl.start + r, sl] = local[r]
+                    written[sl.start + r] += 1
+            np.testing.assert_array_equal(written, 1)
+            np.testing.assert_array_equal(A.toarray(), want)
+            assert np.all(A.data != 0.0), (M, J, order)
+            assert A.nnz == np.count_nonzero(want), (M, J, order)
 
     def test_split_interior_boundary_shapes(self):
         mesh = build_mesh(0.0, 1.0, 3, 4)

@@ -277,11 +277,9 @@ class TestStep2D:
         np.testing.assert_array_equal(final(), final())
 
     def test_lockstep_sweep_matches_per_line_solves(self):
-        # the sweep solves all columns as one multi-right-hand-side LU
-        # solve; each column must get what a standalone cn_step_linear
+        # a block of lines is solved as one multi-right-hand-side LU solve;
+        # each column must get exactly what a standalone cn_step_linear
         # gives it
-        from odds_nls.stepper import _sweep_lines
-
         mesh = build_mesh(-1.0, 1.0, 2, 7)
         tau = 0.02
         system = build_cn_system(mesh, tau)
@@ -290,26 +288,25 @@ class TestStep2D:
                  + 1j * rng.standard_normal((mesh.nodes.size, 9)))
 
         zero = block.copy()
-        _sweep_lines(zero, system, TIGHT)
+        zero[0] = zero[-1] = 0.0
+        swept = cn_step_linear(system, zero, TIGHT)
         for j in range(block.shape[1]):
-            line = block[:, j].copy()
-            line[0] = line[-1] = 0.0
-            np.testing.assert_allclose(
-                zero[:, j], cn_step_linear(system, line, TIGHT), atol=1e-10)
+            np.testing.assert_array_equal(
+                swept[:, j], cn_step_linear(system, zero[:, j], TIGHT))
 
         lo = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         ro = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         ln, rn = 1.1 * lo, 0.7 * ro
         data = block.copy()
-        _sweep_lines(data, system, TIGHT,
-                     (np.array([lo, ro]), np.array([ln, rn])))
+        data[0], data[-1] = lo, ro
+        bc_old, bc_new = np.array([lo, ro]), np.array([ln, rn])
+        swept = cn_step_linear(system, data, TIGHT,
+                               system.boundary_forcing(bc_old, bc_new), bc_new)
         for j in range(block.shape[1]):
-            line = block[:, j].copy()
-            line[0], line[-1] = lo[j], ro[j]
             forcing = system.boundary_forcing((lo[j], ro[j]), (ln[j], rn[j]))
-            want = cn_step_linear(system, line, TIGHT, forcing=forcing,
+            want = cn_step_linear(system, data[:, j], TIGHT, forcing=forcing,
                                   bc_new=(ln[j], rn[j]))
-            np.testing.assert_allclose(data[:, j], want, atol=1e-10)
+            np.testing.assert_array_equal(swept[:, j], want)
 
     def test_zero_boundary_line_sweeps_superconverge(self):
         # the x and y line operators commute as tensor factors, so with
