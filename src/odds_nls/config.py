@@ -58,7 +58,9 @@ class ExperimentConfig:
                               f"expected one of {', '.join(KINDS)}")
         if self.x_right <= self.x_left:
             raise ConfigError("x_right must exceed x_left")
-        if self.kind == "gaussian2d" and self.y_right <= self.y_left:
+        two_d = (self.kind == "gaussian2d"
+                 or (self.kind == "efficiency" and self.dimension == 2))
+        if two_d and self.y_right <= self.y_left:
             raise ConfigError("y_right must exceed y_left")
         for name in ("elements", "degree", "elements_y", "degree_y", "modes",
                      "modes_y", "trajectories", "invariant_stride", "repeats"):
@@ -236,12 +238,12 @@ def config_schema() -> str:
         "Experiment config keys (YAML mapping; CLI --set key=value overrides):",
         "  kind            one of: " + ", ".join(KINDS),
         "  x_left/x_right  spatial interval (space units)",
-        "  y_left/y_right  second axis, gaussian2d only",
+        "  y_left/y_right  second axis, 2D runs only",
         "  lam             cubic coefficient lambda (dimensionless)",
         "  eps             noise size (dimensionless)",
         "  eps_values      gaussian2d: list of noise sizes swept in one run",
         "  elements/degree           overlapping elements M and degree J",
-        "  elements_y/degree_y       second axis, gaussian2d only",
+        "  elements_y/degree_y       second axis, 2D runs only",
         "  modes/modes_y   noise truncation per axis",
         "  seed            64-bit master seed",
         "  trajectories    independent sample paths P",

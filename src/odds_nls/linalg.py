@@ -1,11 +1,13 @@
 """Crank-Nicolson systems in stacked real form, and their linear solvers.
 
-The linear half-step for i du = u_xx dt is written as (A kron B + C) U = rhs
-with A = diag(-tau/2, tau/2), B the interior second-derivative block, C the
-swap matrix [[0, I], [I, 0]], and U the stacked real vector [imag; real] of
-interior values of one line, or one such column per line for a block of
-lines that share the operator. Boundary data enters through an affine
-forcing term built from the two boundary columns of the global operator.
+The linear half-step for i du = u_xx dt is written as G U = G' U^n + F,
+with U the stacked real vector [imag; real] of interior values of one line,
+or one such column per line for a block of lines that share the operator.
+B = D2[1:-1, 1:-1] is the interior block of the assembled second-derivative
+operator, and G and G' are the 2x2 block matrices
+[[-tau/2 B, I], [I, tau/2 B]] and [[tau/2 B, I], [I, -tau/2 B]]. Boundary
+data enters through an affine forcing term built from the two boundary
+columns D2[1:-1, [0, -1]].
 
 The matrix depends only on the mesh and tau, so every time step solves it
 with one sparse LU factor (LUSolver), built on the first solve. The
@@ -23,7 +25,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .mesh import OverlapMesh1D, assemble_global, split_interior_boundary
+from .mesh import OverlapMesh1D, assemble_global
 
 
 class KrylovError(RuntimeError):
@@ -164,20 +166,6 @@ class LUSolver:
         return krylov_solve_block(self.G, b, x, opts)
 
 
-def cn_pair_from_operator(B: sp.spmatrix, tau: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Implicit/explicit matrices (G, G') of the stacked real CN step.
-
-    For u^{n+1} = u^n - (i tau/2)(B u^{n+1} + B u^n) with U = [imag; real]:
-    G = A kron B + C and G' = -A kron B + C, A = diag(-tau/2, tau/2).
-    """
-    n = B.shape[0]
-    A = sp.diags([-tau / 2.0, tau / 2.0])
-    C = sp.kron(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
-                sp.identity(n))
-    kron_ab = sp.kron(A, B)
-    return (kron_ab + C).tocsr(), (-kron_ab + C).tocsr()
-
-
 @dataclass
 class CNSystem:
     """One mesh/step-size Crank-Nicolson system, reusable across time steps.
@@ -213,12 +201,18 @@ class CNSystem:
 def build_cn_system(mesh: OverlapMesh1D, tau: float) -> CNSystem:
     """Assemble the CN system for one mesh and step size.
 
-    Its forcing F is the zero vector of homogeneous Dirichlet data.
+    G and G' are built from slices of the assembled operator; like it, they
+    store no zeros. Its forcing F is the zero vector of homogeneous
+    Dirichlet data.
     """
-    B, Bb = split_interior_boundary(assemble_global(mesh, 2))
-    G, Gp = cn_pair_from_operator(B, tau)
-    return CNSystem(G=G, G_explicit=Gp, B=B, B_boundary=Bb, tau=tau,
-                    n_interior=B.shape[0], F=np.zeros(2 * B.shape[0]))
+    D2 = assemble_global(mesh, 2)
+    B = D2[1:-1, 1:-1]
+    half = tau / 2.0
+    eye = sp.identity(B.shape[0], format="csr")
+    G = sp.bmat([[-half * B, eye], [eye, half * B]], format="csr")
+    Gp = sp.bmat([[half * B, eye], [eye, -half * B]], format="csr")
+    return CNSystem(G=G, G_explicit=Gp, B=B, B_boundary=D2[1:-1, [0, -1]],
+                    tau=tau, n_interior=B.shape[0], F=np.zeros(2 * B.shape[0]))
 
 
 def stack_real(u: np.ndarray) -> np.ndarray:

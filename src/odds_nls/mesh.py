@@ -27,9 +27,7 @@ class OverlapMesh1D:
     n_elements: int
     degree: int
     dx: float
-    shift: float
     nodes: np.ndarray          # global grid, all shared nodes stored once
-    ref_nodes: np.ndarray      # Lobatto nodes on [-1, 1]
     element_bounds: np.ndarray  # (M, 2) physical end points per element
 
     @property
@@ -83,8 +81,7 @@ def build_mesh(x_left: float, x_right: float, M: int, J: int) -> OverlapMesh1D:
 
     starts = (np.arange(M) * (J - 1))
     bounds = np.column_stack([nodes[starts], nodes[starts + J]])
-    return OverlapMesh1D(x_left, x_right, M, J, float(dx), float(shift),
-                         nodes, ref, bounds)
+    return OverlapMesh1D(x_left, x_right, M, J, float(dx), nodes, bounds)
 
 
 def assemble_global(mesh: OverlapMesh1D, order: int = 2) -> sp.csr_matrix:
@@ -113,17 +110,3 @@ def assemble_global(mesh: OverlapMesh1D, order: int = 2) -> sp.csr_matrix:
     out.eliminate_zeros()
     return out
 
-
-def split_interior_boundary(matrix: sp.spmatrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Split a global operator into its interior block and boundary columns.
-
-    Returns (B, B_bdy) where B acts on interior values and B_bdy is the
-    (n-2, 2) matrix of couplings to the two boundary nodes.
-    """
-    A = matrix.tocsr()
-    n = A.shape[0]
-    if n < 3:
-        raise ValueError("need at least one interior node")
-    interior = A[1:-1, 1:-1]
-    bdy = sp.hstack([A[1:-1, 0], A[1:-1, n - 1]]).tocsr()
-    return interior.tocsr(), bdy

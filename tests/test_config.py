@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from odds_nls import cli
 from odds_nls.config import (ConfigError, ExperimentConfig, apply_overrides,
                              builtin_configs, builtin_efficiency_2d,
                              config_hash, config_schema, from_mapping,
@@ -54,6 +55,22 @@ class TestValidation:
             dataclasses.replace(base, dimension=3).validate()
         with pytest.raises(ConfigError):
             dataclasses.replace(base, repeats=1).validate()
+
+    def test_rejects_empty_y_interval_in_2d_runs(self):
+        for cfg in (builtin_configs()["gaussian2d"], builtin_efficiency_2d()):
+            with pytest.raises(ConfigError, match="y_right"):
+                dataclasses.replace(cfg, y_right=cfg.y_left - 10.0).validate()
+        # a 1D efficiency run never reads the y interval
+        base = builtin_configs()["efficiency"]
+        dataclasses.replace(base, y_right=base.y_left - 10.0).validate()
+
+    def test_cli_exits_2_on_empty_y_interval_in_2d_efficiency(self, tmp_path,
+                                                               capsys):
+        code = cli.main(["efficiency", "--dimension", "2",
+                         "--set", "y_right=-20", "--output-dir",
+                         str(tmp_path)])
+        assert code == 2
+        assert "y_right must exceed y_left" in capsys.readouterr().err
 
 
 class TestMappingAndFiles:

@@ -4,8 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from odds_nls.linalg import (CNSystem, KrylovError, LUSolver, SolverOptions,
-                             build_cn_system, cn_pair_from_operator,
-                             cn_step_linear, krylov_solve,
+                             build_cn_system, cn_step_linear, krylov_solve,
                              krylov_solve_block, stack_real, unstack_real)
 from odds_nls.mesh import assemble_global, build_mesh
 
@@ -181,19 +180,23 @@ class TestRealificationLayout:
         u = np.array([1.0 + 2.0j, 3.0 - 4.0j])
         np.testing.assert_array_equal(stack_real(u), [2.0, -4.0, 1.0, 3.0])
 
-    @pytest.mark.parametrize("shape", [(1, 8), (4, 8), (10, 30)])
+    @pytest.mark.parametrize("shape", [(1, 8), (4, 8), (10, 30), (2, 5),
+                                       (2, 16)])
     def test_kron_pair_equals_complex_cn_action(self, shape):
         # the real system rows are ordered [real-equations; imag-equations],
         # so G acting on [imag; real] lands on [Re lhs; Im lhs] of the
         # complex operator (1 + i tau/2 B), and G' likewise for the rhs
         M, J = shape
-        from odds_nls.mesh import split_interior_boundary
-        mesh = build_mesh(-1.0, 1.0, M, J)
-        B, _ = split_interior_boundary(assemble_global(mesh, 2))
         tau = 0.01
-        G, G_rhs = cn_pair_from_operator(B, tau)
-        rng = np.random.default_rng(5)
+        system = build_cn_system(build_mesh(-1.0, 1.0, M, J), tau)
+        B, G, G_rhs = system.B, system.G, system.G_explicit
         n = B.shape[0]
+        # two scaled copies of B and two identity blocks, no stored zeros
+        # (M <= 2 meshes make B more than half full)
+        for matrix in (G, G_rhs, B, system.B_boundary):
+            assert np.all(matrix.data != 0.0), shape
+        assert G.nnz == G_rhs.nnz == 2 * B.nnz + 2 * n
+        rng = np.random.default_rng(5)
         for _ in range(100):
             u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             lhs = u + 0.5j * tau * (B @ u)
@@ -204,6 +207,24 @@ class TestRealificationLayout:
             np.testing.assert_allclose(G_rhs @ stack_real(u),
                                        np.concatenate([rhs.real, rhs.imag]),
                                        atol=1e-12)
+
+
+class TestInteriorBoundaryBlocks:
+    def test_interior_and_boundary_shapes(self):
+        mesh = build_mesh(0.0, 1.0, 3, 4)
+        system = build_cn_system(mesh, 0.01)
+        n = mesh.n_nodes
+        assert system.B.shape == (n - 2, n - 2)
+        assert system.B_boundary.shape == (n - 2, 2)
+
+    def test_interior_and_boundary_reconstruct_full_action(self):
+        mesh = build_mesh(-1.0, 1.0, 2, 6)
+        D2 = assemble_global(mesh, 2)
+        system = build_cn_system(mesh, 0.01)
+        u = np.random.default_rng(3).standard_normal(mesh.n_nodes)
+        full = (D2 @ u)[1:-1]
+        split = system.B @ u[1:-1] + system.B_boundary @ u[[0, -1]]
+        np.testing.assert_allclose(split, full, atol=1e-12)
 
 
 class TestCNStep:

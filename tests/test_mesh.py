@@ -6,7 +6,7 @@ import pytest
 from odds_nls.chebyshev import (diff_matrix, diff_matrix_higher,
                                 reference_nodes)
 from odds_nls.mesh import (OverlapMesh1D, assemble_global, build_mesh,
-                           element_width, split_interior_boundary)
+                           element_width)
 
 
 def closed_form_width(x_left, x_right, M, J):
@@ -123,23 +123,6 @@ class TestAssembly:
             np.testing.assert_array_equal(A.toarray(), want)
             assert np.all(A.data != 0.0), (M, J, order)
             assert A.nnz == np.count_nonzero(want), (M, J, order)
-
-    def test_split_interior_boundary_shapes(self):
-        mesh = build_mesh(0.0, 1.0, 3, 4)
-        B = assemble_global(mesh, 2)
-        interior, boundary = split_interior_boundary(B)
-        n = mesh.n_nodes
-        assert interior.shape == (n - 2, n - 2)
-        assert boundary.shape == (n - 2, 2)
-
-    def test_split_reconstructs_full_action(self):
-        mesh = build_mesh(-1.0, 1.0, 2, 6)
-        B = assemble_global(mesh, 2)
-        interior, boundary = split_interior_boundary(B)
-        u = np.random.default_rng(3).standard_normal(mesh.n_nodes)
-        full = (B @ u)[1:-1]
-        split = interior @ u[1:-1] + boundary @ u[[0, -1]]
-        np.testing.assert_allclose(split, full, atol=1e-12)
 
 
 def test_mesh_is_frozen_dataclass():
