@@ -28,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import LUSolver, SolverOptions, stack_real, unstack_real
+from .linalg import (KrylovError, LUSolver, SolverOptions, stack_real,
+                     unstack_real)
+from .stepper import StepFailure
 
 FP_TOL = 1e-12
 FP_MAXITER = 50
@@ -73,6 +75,14 @@ def implicit_pair(S: sp.spmatrix, A: sp.spmatrix) -> sp.csr_matrix:
     return sp.bmat([[S, A], [-A, S]], format="csr")
 
 
+class FixedPointError(RuntimeError):
+    """A fixed point missed its tolerance; residual is its last update."""
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
+
+
 def _fixed_point(apply_rhs, lu: LUSolver, v0, opts, label: str
                  ) -> np.ndarray:
     """Iterate v <- G^{-1} rhs(v) until the max-norm update stalls below tol."""
@@ -83,8 +93,9 @@ def _fixed_point(apply_rhs, lu: LUSolver, v0, opts, label: str
         v = v_new
         if delta <= FP_TOL * max(1.0, float(np.max(np.abs(v_new)))):
             return v
-    raise RuntimeError(f"{label} fixed point did not converge in "
-                       f"{FP_MAXITER} iterations (last update {delta:.3e})")
+    raise FixedPointError(f"{label} fixed point did not converge in "
+                          f"{FP_MAXITER} iterations (last update {delta:.3e})",
+                          residual=float(delta))
 
 
 def _corner_sum(a: np.ndarray) -> np.ndarray:
@@ -257,7 +268,8 @@ def run_uniform_trajectory(method, u0: np.ndarray, n_steps: int,
                            noise=None, t0: float = 0.0):
     """Drive one of the uniform-grid schemes; returns the final values.
 
-    The noise source is consulted only when the scheme's eps is nonzero.
+    The noise source is consulted only when the scheme's eps is nonzero. A
+    step whose fixed point or linear solve fails raises StepFailure.
     """
     values = np.array(u0, dtype=complex)
     tau = method.tau
@@ -268,6 +280,12 @@ def run_uniform_trajectory(method, u0: np.ndarray, n_steps: int,
             if noise is None:
                 raise ValueError("eps != 0 requires a noise source")
             dw = noise.increment_at(k, t, t + tau).values
-        values = method.step(values, dw)
+        try:
+            values = method.step(values, dw)
+        except (FixedPointError, KrylovError) as err:
+            raise StepFailure(
+                f"{type(method).__name__} failed at step {k} "
+                f"(t = {t:.6g}): {err}",
+                step=k, time=t, residual=err.residual) from err
         t = t0 + (k + 1) * tau
     return values

@@ -13,7 +13,6 @@ from dataclasses import replace
 from .config import (ConfigError, apply_overrides, builtin_configs,
                      builtin_efficiency_2d, config_schema, load_config)
 from .experiments import run_experiment
-from .linalg import KrylovError
 from .stepper import StepFailure
 
 
@@ -94,7 +93,7 @@ def main(argv=None) -> int:
         return 2
     try:
         result = run_experiment(config, workers=args.workers)
-    except (StepFailure, KrylovError) as exc:
+    except StepFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     for path in result.paths:

@@ -23,7 +23,7 @@ from .baselines import (FDSCN1D, FDSCN2D, SMM1D, SMM2D, run_uniform_trajectory,
 from .config import ExperimentConfig, config_hash
 from .mesh import build_mesh
 from .noise import AggregatedNoise, MemoizedNoise, NoiseModel1D, NoiseModel2D
-from .observables import discrete_charge_2d, fit_order, trapezoid_weights
+from .observables import discrete_charge, fit_order, trapezoid_weights
 from .stepper import ProblemSpec, RunOptions, StepFailure, run_trajectory
 
 
@@ -356,7 +356,7 @@ def run_gaussian2d(config: ExperimentConfig, workers: int = 1) -> RunResult:
             for x, line in zip(xs, field):
                 yield [eps_col, t_col, [x] * len(ys), ys, _modulus_cells(line)]
 
-    charges = [discrete_charge_2d(field, mesh_x.nodes, mesh_y.nodes)
+    charges = [discrete_charge(field, mesh_x.nodes, mesh_y.nodes)
                for _, _, field in snaps]
     paths = [
         write_csv(os.path.join(dirpath, "surfaces.csv"),
@@ -453,13 +453,13 @@ def _timed_run(config: ExperimentConfig, name: str, n_steps: int):
     datum = soliton_datum if config.dimension == 1 else gaussian_datum
     u0, model = _start(config, datum, axes)
     if steppers is None:
-        mesh = axes[0] if config.dimension == 1 else tuple(axes)
         prob = ProblemSpec(config.lam, config.eps)
 
         def once(rep):
             opts = RunOptions(noise=model.trajectory(rep),
                               record_invariants=False)
-            run_trajectory(u0, mesh, prob, config.tau, n_steps, options=opts)
+            run_trajectory(u0, tuple(axes), prob, config.tau, n_steps,
+                           options=opts)
     else:
         method = steppers[config.dimension - 1](*axes, config.tau, config.lam,
                                                 config.eps)

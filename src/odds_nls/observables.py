@@ -1,15 +1,15 @@
 """Discrete invariants and error/order diagnostics.
 
 Spatial integrals use trapezoid weights on the (generally non-uniform)
-global grid; the energy's gradient term uses the global first-derivative
-collocation operator.
+global grid of each of one or two axes; the energy's gradient term uses
+each axis's global first-derivative collocation operator.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import OverlapMesh1D, assemble_global
+from .mesh import assemble_global
 
 
 def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
@@ -23,40 +23,38 @@ def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
-def discrete_charge(values: np.ndarray, nodes: np.ndarray) -> float:
-    """Trapezoid approximation of the squared L2 norm."""
-    return float(trapezoid_weights(nodes) @ (np.abs(values) ** 2))
+def _integral(weights, a: np.ndarray):
+    """Trapezoid integral of a grid function: one axis's weights at a time."""
+    out = weights[0] @ a
+    for w in weights[1:]:
+        out = out @ w
+    return out
 
 
-def discrete_charge_2d(values: np.ndarray, nodes_x: np.ndarray,
-                       nodes_y: np.ndarray) -> float:
-    wx = trapezoid_weights(nodes_x)
-    wy = trapezoid_weights(nodes_y)
-    return float(wx @ (np.abs(values) ** 2) @ wy)
+def discrete_charge(values: np.ndarray, *nodes: np.ndarray) -> float:
+    """Trapezoid approximation of the squared L2 norm; nodes per axis."""
+    return float(_integral([trapezoid_weights(n) for n in nodes],
+                           np.abs(values) ** 2))
 
 
-def discrete_energy(values: np.ndarray, mesh: OverlapMesh1D,
-                    diff1=None) -> float:
-    """H = 1/2 int |u_x|^2 - 1/4 int |u|^4 on the mesh grid."""
+def discrete_energy(values: np.ndarray, mesh, diff1=None) -> float:
+    """H = 1/2 int |grad u|^2 - 1/4 int |u|^4 on the mesh grid.
+
+    mesh is an OverlapMesh1D or an (mesh_x, mesh_y) pair, and diff1 its
+    first-derivative operator or one per axis; None assembles them.
+    """
+    axes = mesh if isinstance(mesh, tuple) else (mesh,)
     if diff1 is None:
-        diff1 = assemble_global(mesh, 1)
-    w = trapezoid_weights(mesh.nodes)
-    ux = diff1 @ values
-    return float(0.5 * (w @ np.abs(ux) ** 2) - 0.25 * (w @ np.abs(values) ** 4))
-
-
-def discrete_energy_2d(values: np.ndarray, mesh_x: OverlapMesh1D,
-                       mesh_y: OverlapMesh1D, diff1_x=None, diff1_y=None) -> float:
-    if diff1_x is None:
-        diff1_x = assemble_global(mesh_x, 1)
-    if diff1_y is None:
-        diff1_y = assemble_global(mesh_y, 1)
-    wx = trapezoid_weights(mesh_x.nodes)
-    wy = trapezoid_weights(mesh_y.nodes)
-    ux = diff1_x @ values
-    uy = (diff1_y @ values.T).T
-    grad2 = np.abs(ux) ** 2 + np.abs(uy) ** 2
-    return float(0.5 * (wx @ grad2 @ wy) - 0.25 * (wx @ np.abs(values) ** 4 @ wy))
+        diff1 = [assemble_global(axis, 1) for axis in axes]
+    elif not isinstance(diff1, tuple):
+        diff1 = (diff1,)
+    grad2 = np.abs(diff1[0] @ values) ** 2
+    for axis in range(1, values.ndim):
+        d = diff1[axis] @ values.swapaxes(0, axis)
+        grad2 += np.abs(d.swapaxes(0, axis)) ** 2
+    weights = [trapezoid_weights(axis.nodes) for axis in axes]
+    return float(0.5 * _integral(weights, grad2)
+                 - 0.25 * _integral(weights, np.abs(values) ** 4))
 
 
 def averaged_energy_growth(times: np.ndarray, energies: np.ndarray

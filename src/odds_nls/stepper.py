@@ -2,7 +2,9 @@
 
 One step composes the exact pointwise nonlinear/stochastic flow with
 Crank-Nicolson solves of the linear part on the overlapping collocation
-mesh; in 2D the linear part is swept dimension by dimension.
+mesh; in 2D the linear part is swept dimension by dimension. One step body
+serves one or two axes, and it alone writes the Dirichlet edges: those
+across an axis are set just before that axis's solve.
 """
 
 from dataclasses import dataclass, field
@@ -13,8 +15,7 @@ import numpy as np
 from .linalg import (CNSystem, KrylovError, SolverOptions, build_cn_system,
                      cn_step_linear)
 from .mesh import OverlapMesh1D, assemble_global
-from .observables import (discrete_charge, discrete_charge_2d,
-                          discrete_energy, discrete_energy_2d)
+from .observables import discrete_charge, discrete_energy
 
 
 @dataclass
@@ -68,29 +69,31 @@ def _odds_step(values: np.ndarray, t: float, tau: float,
                ) -> np.ndarray:
     """One step on one or two axes: the phase flow, then each axis's solve.
 
-    Along each axis in turn, every line over the interior of the other axis
-    shares that axis's CN system, so the lines are advanced by one
-    cn_step_linear call on the block of them, with their Dirichlet data at
-    t and t + tau.
+    Along each axis in turn, the two edges across it, corners included, are
+    set to the Dirichlet data at t + tau. Every line over the interior of the
+    other axis shares that axis's CN system, so the lines are then advanced
+    by one cn_step_linear call on the block of them, which keeps the edges
+    and takes the data at t and t + tau as its forcing.
     """
     w = nonlinear_flow(values, tau, problem.lam, problem.eps, dw)
+    # in a view with the solved axis first: all of it, the other's interior
+    inner = (slice(None),) + (slice(1, -1),) * (w.ndim - 1)
     for axis, system in enumerate(systems):
-        lines = w.swapaxes(0, axis)[:, 1:-1] if w.ndim == 2 else w
+        lines = w.swapaxes(0, axis)
         if problem.boundary is None:
-            # zero forcing is passed, not left to cn_step_linear's default:
-            # perfbench's tracer adds system.F, which fits one line only
             lines[0] = lines[-1] = 0.0
-            forcing = np.zeros((2 * system.n_interior,) + lines.shape[1:])
-            bc_new = None
+            forcing = 0.0   # a scalar fits a line or a block as it is
         else:
-            coords = [mesh.nodes[1:-1] for mesh in meshes]
+            coords = [mesh.nodes for mesh in meshes]
             ends = meshes[axis].nodes[[0, -1]]
             coords[axis] = ends[:, None] if w.ndim == 2 else ends
             bc_old, bc_new = (
                 np.asarray(problem.boundary(at, *coords), dtype=complex)
                 for at in (t, t + tau))
-            forcing = system.boundary_forcing(bc_old, bc_new)
-        lines[...] = cn_step_linear(system, lines, opts, forcing, bc_new)
+            lines[[0, -1]] = bc_new
+            forcing = system.boundary_forcing(bc_old[inner], bc_new[inner])
+        block = lines[inner]
+        block[...] = cn_step_linear(system, block, opts, forcing)
     return w
 
 
@@ -102,21 +105,6 @@ def odds_step_1d(values: np.ndarray, t: float, tau: float,
     return _odds_step(values, t, tau, problem, (mesh,), (system,), opts, dw)
 
 
-def _refresh_edges_2d(w: np.ndarray, problem: ProblemSpec, t: float,
-                      mesh_x: OverlapMesh1D, mesh_y: OverlapMesh1D) -> None:
-    if problem.boundary is None:
-        w[0, :] = 0.0
-        w[-1, :] = 0.0
-        w[:, 0] = 0.0
-        w[:, -1] = 0.0
-        return
-    xs, ys = mesh_x.nodes, mesh_y.nodes
-    w[0, :] = problem.boundary(t, xs[0], ys)
-    w[-1, :] = problem.boundary(t, xs[-1], ys)
-    w[:, 0] = problem.boundary(t, xs, ys[0])
-    w[:, -1] = problem.boundary(t, xs, ys[-1])
-
-
 def odds_step_2d(values: np.ndarray, t: float, tau: float,
                  problem: ProblemSpec, mesh_x: OverlapMesh1D,
                  mesh_y: OverlapMesh1D, system_x: CNSystem,
@@ -124,13 +112,10 @@ def odds_step_2d(values: np.ndarray, t: float, tau: float,
                  dw: np.ndarray | None = None) -> np.ndarray:
     """One full 2D step: nonlinear flow, then x-line solves, then y-line.
 
-    The sweeps leave the four corners untouched, so every edge is refreshed
-    from the boundary data at t + tau last.
+    Every edge, corners included, ends at the Dirichlet data at t + tau.
     """
-    w = _odds_step(values, t, tau, problem, (mesh_x, mesh_y),
-                   (system_x, system_y), opts, dw)
-    _refresh_edges_2d(w, problem, t + tau, mesh_x, mesh_y)
-    return w
+    return _odds_step(values, t, tau, problem, (mesh_x, mesh_y),
+                      (system_x, system_y), opts, dw)
 
 
 @dataclass
@@ -159,7 +144,8 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
 
     Args:
         u0: initial grid values, shape (n,) in 1D or (nx, ny) in 2D.
-        mesh: OverlapMesh1D, or an (mesh_x, mesh_y) pair for 2D runs.
+        mesh: OverlapMesh1D, or a tuple of one per axis: (mesh,) or
+            (mesh_x, mesh_y).
         problem: equation parameters and Dirichlet data.
         tau: time step, > 0.
         n_steps: number of steps, >= 0.
@@ -192,17 +178,13 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
             raise ValueError(f"snapshot step {s} outside [0, {n_steps}]")
 
     systems = [build_cn_system(axis, tau) for axis in axes]
-    if len(axes) == 1:
-        step, charge, energy = odds_step_1d, discrete_charge, discrete_energy
-    else:
-        step, charge, energy = (odds_step_2d, discrete_charge_2d,
-                                discrete_energy_2d)
+    step = odds_step_1d if len(axes) == 1 else odds_step_2d
     if options.record_invariants:
-        d1 = [assemble_global(axis, 1) for axis in axes]
+        nodes = [axis.nodes for axis in axes]
+        d1 = tuple(assemble_global(axis, 1) for axis in axes)
 
         def invariants(v):
-            return (charge(v, *(axis.nodes for axis in axes)),
-                    energy(v, *axes, *d1))
+            return discrete_charge(v, *nodes), discrete_energy(v, axes, d1)
 
     wanted = set(options.snapshot_steps)
     snapshots = {}

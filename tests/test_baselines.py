@@ -6,6 +6,7 @@ from odds_nls.baselines import (FDSCN1D, FDSCN2D, SMM1D, SMM2D,
                                 uniform_grid_1d)
 from odds_nls.linalg import SolverOptions
 from odds_nls.noise import NoiseModel1D, NoiseModel2D
+from odds_nls.stepper import StepFailure
 
 TIGHT = SolverOptions(residual_tol=1e-11)
 
@@ -283,3 +284,24 @@ class TestDriver:
         a = run_uniform_trajectory(m, u0, 4, noise=model.trajectory(1))
         b = run_uniform_trajectory(m, u0, 4, noise=model.trajectory(1))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("cause", ["fixed_point", "linear_solve"])
+    def test_step_failure_names_scheme_step_and_time(self, cause):
+        # a strong cubic term at a long step stalls SMM's fixed point; an
+        # unreachable tolerance stops its LU/Arnoldi solve
+        grid = uniform_grid_1d(-20.0, 20.0, 41)
+        u0 = np.sqrt(2.0) / np.cosh(grid.nodes) + 0j
+        u0[0] = u0[-1] = 0.0
+        if cause == "fixed_point":
+            m = SMM1D(grid, 0.1, 16.0, 0.0)
+        else:
+            hopeless = SolverOptions(residual_tol=1e-30, max_krylov=4,
+                                     max_restarts=2)
+            m = SMM1D(grid, 0.01, 1.0, 0.0, hopeless)
+        with pytest.raises(StepFailure) as info:
+            run_uniform_trajectory(m, u0, 3, t0=0.5)
+        assert info.value.step == 0
+        assert info.value.time == pytest.approx(0.5)
+        assert info.value.residual > 0
+        assert "SMM1D" in str(info.value) and "step 0" in str(info.value)
+        assert "t = 0.5" in str(info.value)

@@ -378,6 +378,18 @@ class TestCLI:
         assert cli.main(["run", "soliton1d"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_reference_scheme_failure_exits_3_with_one_line(self, tmp_path,
+                                                           capsys):
+        # SMM's fixed point stalls at this step size and cubic strength
+        code = cli.main(["efficiency", "--output-dir", str(tmp_path),
+                         "--set", "uniform_points=121", "--set", "tau=0.1",
+                         "--set", "lam=16", "--set", "t_final=0.1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1
+        assert "numerical failure" in err
+        assert "SMM" in err and "step 0" in err and "t = 0" in err
+
     def test_partial_failures_in_manifest_map_to_exit_3(self, monkeypatch,
                                                         capsys):
         def partial(config, workers):

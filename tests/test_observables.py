@@ -3,8 +3,7 @@ import pytest
 
 from odds_nls.mesh import build_mesh
 from odds_nls.observables import (averaged_energy_growth, discrete_charge,
-                                  discrete_charge_2d, discrete_energy,
-                                  discrete_energy_2d, fit_order,
+                                  discrete_energy, fit_order,
                                   trapezoid_weights)
 
 
@@ -38,7 +37,7 @@ class TestCharge:
         u = np.outer(f, g) + 0j
         want = (discrete_charge(f + 0j, mesh.nodes)
                 * discrete_charge(g + 0j, mesh_y.nodes))
-        got = discrete_charge_2d(u, mesh.nodes, mesh_y.nodes)
+        got = discrete_charge(u, mesh.nodes, mesh_y.nodes)
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -51,11 +50,19 @@ class TestEnergy:
         want = np.pi**2 / 2.0 - 3.0 / 16.0
         assert discrete_energy(u, mesh) == pytest.approx(want, rel=1e-3)
 
-    def test_accepts_prebuilt_derivative_operator(self):
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    def test_accepts_prebuilt_derivative_operator(self, dimension):
         from odds_nls.mesh import assemble_global
-        mesh = build_mesh(-1.0, 1.0, 2, 10)
-        u = np.exp(-mesh.nodes**2) + 0j
-        D1 = assemble_global(mesh, 1)
+        axes = (build_mesh(-1.0, 1.0, 2, 10), build_mesh(0.0, 2.0, 3, 6))
+        if dimension == 1:
+            mesh = axes[0]
+            u = np.exp(-mesh.nodes**2) + 0j
+            D1 = assemble_global(mesh, 1)
+        else:
+            mesh = axes
+            X, Y = np.meshgrid(axes[0].nodes, axes[1].nodes, indexing="ij")
+            u = np.exp(-X**2 - (Y - 1.0)**2) * np.exp(0.5j * X)
+            D1 = tuple(assemble_global(axis, 1) for axis in axes)
         assert discrete_energy(u, mesh, D1) == discrete_energy(u, mesh)
 
     def test_2d_value_for_separable_gaussian(self):
@@ -66,8 +73,8 @@ class TestEnergy:
         u = np.exp(-(X**2 + Y**2) / 2.0) + 0j
         want = np.pi / 2.0 - np.pi / 8.0
         # trapezoid weights limit the quadrature, not the derivative operator
-        assert discrete_energy_2d(u, mesh, mesh) == pytest.approx(want,
-                                                                  rel=2e-3)
+        assert discrete_energy(u, (mesh, mesh)) == pytest.approx(want,
+                                                                 rel=2e-3)
 
 
 class TestGrowthFit:

@@ -243,6 +243,31 @@ class TestStep2D:
         g1 = cn_step_linear(sy, g, TIGHT)
         np.testing.assert_allclose(got, np.outer(f1, g1), atol=1e-11)
 
+    @pytest.mark.parametrize("homogeneous", [True, False],
+                             ids=["homogeneous", "inhomogeneous"])
+    def test_step_sets_every_edge_and_corner(self, homogeneous):
+        # the sweeps solve the interior only: every edge, corners included,
+        # must end at the Dirichlet data at t + tau, zero when homogeneous
+        mx = build_mesh(-3.0, 4.0, 2, 7)
+        my = build_mesh(-2.0, 3.0, 3, 6)
+        t, tau = 0.3, 0.01
+
+        def bdata(t, x, y):
+            return 0.2 * np.exp(1j * (x + 0.5 * y - t))
+
+        boundary = None if homogeneous else bdata
+        X, Y = np.meshgrid(mx.nodes, my.nodes, indexing="ij")
+        u0 = np.exp(-(X**2 + Y**2)) + 0.7 + 0.4j  # non-zero edges, corners
+        problem = ProblemSpec(lam=1.0, eps=0.0, boundary=boundary)
+        out = odds_step_2d(u0, t, tau, problem, mx, my,
+                           build_cn_system(mx, tau), build_cn_system(my, tau),
+                           TIGHT)
+        want = (np.zeros_like(u0) if homogeneous
+                else bdata(t + tau, X, Y))
+        for edge in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
+            np.testing.assert_array_equal(out[edge], want[edge])
+        assert np.all(out[1:-1, 1:-1] != want[1:-1, 1:-1])
+
     def test_2d_trajectory_runs_and_conserves_charge_roughly(self):
         mx = build_mesh(-3.0, 3.0, 2, 8)
         my = build_mesh(-3.0, 3.0, 2, 8)
