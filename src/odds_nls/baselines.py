@@ -22,6 +22,7 @@ reused by every iteration of every later step.
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -85,17 +86,27 @@ class FixedPointError(RuntimeError):
 
 def _fixed_point(apply_rhs, lu: LUSolver, v0, opts, label: str
                  ) -> np.ndarray:
-    """Iterate v <- G^{-1} rhs(v) until the max-norm update stalls below tol."""
+    """Iterate v <- G^{-1} rhs(v) until the max-norm update stalls below tol.
+
+    An update that is not finite, or that grows while still above tol,
+    means the iteration runs away: it raises FixedPointError at once.
+    """
     v = v0
+    last = math.inf
     for _ in range(FP_MAXITER):
         v_new = unstack_real(lu.solve(stack_real(apply_rhs(v)), opts))
-        delta = np.max(np.abs(v_new - v))
+        delta = float(np.max(np.abs(v_new - v)))
         v = v_new
         if delta <= FP_TOL * max(1.0, float(np.max(np.abs(v_new)))):
             return v
+        if not math.isfinite(delta) or delta > last:
+            raise FixedPointError(f"{label} fixed point runs away: update "
+                                  f"{delta:.3e} after {last:.3e}",
+                                  residual=delta)
+        last = delta
     raise FixedPointError(f"{label} fixed point did not converge in "
                           f"{FP_MAXITER} iterations (last update {delta:.3e})",
-                          residual=float(delta))
+                          residual=delta)
 
 
 def _corner_sum(a: np.ndarray) -> np.ndarray:

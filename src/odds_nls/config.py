@@ -17,6 +17,10 @@ class ConfigError(Exception):
     """Invalid or inconsistent experiment configuration."""
 
 
+def _whole(ratio: float) -> bool:
+    return abs(ratio - round(ratio)) <= 1e-9
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -82,9 +86,13 @@ class ExperimentConfig:
             if any(t <= self.tau_ref for t in self.tau_ladder):
                 raise ConfigError("every ladder tau must exceed tau_ref")
             for t in self.tau_ladder:
-                if abs(t / self.tau_ref - round(t / self.tau_ref)) > 1e-9:
+                if not _whole(t / self.tau_ref):
                     raise ConfigError("ladder taus must be integer multiples "
                                       "of tau_ref (coupled-path aggregation)")
+            for t in (self.tau_ref, *self.tau_ladder):
+                if not _whole(self.t_final / t):
+                    raise ConfigError(f"t_final {self.t_final:g} is not a "
+                                      f"whole number of steps of tau {t:g}")
         if self.kind == "efficiency":
             if self.dimension not in (1, 2):
                 raise ConfigError("dimension must be 1 or 2")

@@ -22,7 +22,8 @@ from .baselines import (FDSCN1D, FDSCN2D, SMM1D, SMM2D, run_uniform_trajectory,
                         uniform_grid_1d)
 from .config import ExperimentConfig, config_hash
 from .mesh import build_mesh
-from .noise import AggregatedNoise, MemoizedNoise, NoiseModel1D, NoiseModel2D
+from .noise import (NoiseModel1D, NoiseModel2D, ReplayNoise, coarsen,
+                    draw_path)
 from .observables import discrete_charge, fit_order, trapezoid_weights
 from .stepper import ProblemSpec, RunOptions, StepFailure, run_trajectory
 
@@ -385,36 +386,46 @@ def _convergence_ctx(config):
     return config, mesh, u0, model, weights
 
 
-def _convergence_job(ctx, p):
-    """Squared weighted terminal errors of every ladder tau for trajectory p."""
+# Trajectories per convergence job, stepped as the columns of one state.
+# Blocks are cut by trajectory index alone, so the bytes do not depend on
+# the worker count. 16 keeps a block's fine path near 1 MB on the builtin
+# (256 steps x 32 nodes x 16 columns) and cuts its 100 trajectories into 7
+# jobs, enough to keep 4 workers busy.
+CONVERGENCE_BLOCK = 16
+
+
+def _convergence_job(ctx, block):
+    """Squared weighted terminal errors, (len(block), levels), of a block.
+
+    The block's fine increments are drawn once; the reference run replays
+    them and every ladder level replays their sums over its step.
+    """
     config, mesh, u0, model, weights = ctx
     prob = ProblemSpec(config.lam, config.eps)
     n_ref = round(config.t_final / config.tau_ref)
-    # every ladder level sums the reference run's fine increments: draw each
-    # of them once for this trajectory
-    fine = MemoizedNoise(model, p)
-    res = run_trajectory(u0, mesh, prob, config.tau_ref, n_ref,
-                         options=RunOptions(noise=fine,
-                                            record_invariants=False))
-    ref = res.state.values
-    out = np.empty(len(config.tau_ladder))
+    fine = draw_path(model, block, n_ref, config.tau_ref)
+    start = np.repeat(u0[:, None], len(block), axis=1)
+
+    def terminal(tau, path):
+        options = RunOptions(noise=ReplayNoise(path), record_invariants=False)
+        return run_trajectory(start, mesh, prob, tau, len(path),
+                              options=options).state.values
+
+    ref = terminal(config.tau_ref, fine)
+    out = np.empty((len(block), len(config.tau_ladder)))
     for i, tau in enumerate(config.tau_ladder):
-        ratio = round(tau / config.tau_ref)
-        noise = AggregatedNoise(fine, ratio, config.tau_ref)
-        res = run_trajectory(u0, mesh, prob, tau,
-                             round(config.t_final / tau),
-                             options=RunOptions(noise=noise,
-                                                record_invariants=False))
-        diff = res.state.values - ref
-        out[i] = float(weights @ np.abs(diff) ** 2)
+        diff = terminal(tau, coarsen(fine, round(tau / config.tau_ref))) - ref
+        out[:, i] = weights @ np.abs(diff) ** 2
     return out
 
 
 def run_convergence(config: ExperimentConfig, workers: int = 1) -> RunResult:
     t0 = time.perf_counter()
     trajectories = range(config.trajectories)
+    blocks = [trajectories[i:i + CONVERGENCE_BLOCK]
+              for i in range(0, len(trajectories), CONVERGENCE_BLOCK)]
     sq_errors = _farm(partial(_convergence_ctx, config), _convergence_job,
-                      trajectories, workers)
+                      blocks, workers)
     t_run = time.perf_counter() - t0
     taus = np.array(config.tau_ladder)
     order = np.argsort(taus)[::-1]  # fit_order wants decreasing taus

@@ -4,7 +4,9 @@ Per-mode Brownian increments are drawn from a counter-based generator keyed
 by (master seed, trajectory index, step index), so any increment can be
 regenerated out of order and results do not depend on scheduling. Grid values
 are the mode increments pushed through a cached basis matrix whose columns
-vanish identically at the domain boundary.
+vanish identically at the domain boundary. The grid increments of a block of
+trajectories can be drawn once as one path, summed into coarser steps and
+replayed.
 """
 
 from dataclasses import dataclass
@@ -138,45 +140,47 @@ class TrajectoryNoise:
         return WienerIncrement(self.values_from_modes(xi), t_from, t_to)
 
 
-class MemoizedNoise(TrajectoryNoise):
-    """Increment stream that draws each (step, dt) once and then replays it.
+def draw_path(model: NoiseModel1D, trajectories, n_steps: int,
+              dt: float) -> np.ndarray:
+    """Grid increments of a block of trajectories over n_steps steps of dt.
 
-    For runs that read the same increments many times, such as a reference
-    run and the coarse runs aggregated from it. It keeps every increment it
-    has drawn, so make one per such group of runs and drop it afterwards.
+    Returns an (n_steps, n, P) array for the P trajectories: row k holds
+    step k of every one, column j that of trajectories[j]. Each increment is
+    drawn and projected once, and only one draw's mode array is held.
     """
-
-    def __init__(self, model, trajectory: int):
-        super().__init__(model, trajectory)
-        self._drawn = {}
-
-    def mode_increments(self, step: int, dt: float) -> np.ndarray:
-        key = (step, dt)
-        if key not in self._drawn:
-            xi = super().mode_increments(step, dt)
-            xi.flags.writeable = False      # every reader shares this array
-            self._drawn[key] = xi
-        return self._drawn[key]
+    path = np.empty((n_steps, model.grid.size, len(trajectories)))
+    for j, p in enumerate(trajectories):
+        stream = model.trajectory(p)
+        for k in range(n_steps):
+            path[k, :, j] = stream.values_from_modes(
+                stream.mode_increments(k, dt))
+    return path
 
 
-class AggregatedNoise:
-    """Coarse-step view of a finer stream: mode increments summed in blocks.
+def coarsen(path: np.ndarray, ratio: int) -> np.ndarray:
+    """Increments over ratio steps each: sums of consecutive rows of path.
 
-    Used to couple a coarse run to a reference run on the same Brownian paths;
-    coarse step n aggregates fine steps n*ratio .. (n+1)*ratio - 1.
+    Row n sums rows n*ratio .. (n+1)*ratio - 1 in step order, so a coarse
+    run and a fine run see the same Brownian path. (np.add.reduce would sum
+    pairwise when a row holds a single value.)
     """
+    if ratio < 1 or len(path) % ratio:
+        raise ValueError(f"ratio {ratio} does not divide {len(path)} steps "
+                         "into whole coarse steps")
+    blocks = path.reshape(-1, ratio, *path.shape[1:])
+    total = blocks[:, 0].copy()
+    for r in range(1, ratio):
+        total += blocks[:, r]
+    return total
 
-    def __init__(self, fine: TrajectoryNoise, ratio: int, dt_fine: float):
-        if ratio < 1:
-            raise ValueError("ratio must be a positive integer")
-        self.fine = fine
-        self.ratio = int(ratio)
-        self.dt_fine = float(dt_fine)
+
+class ReplayNoise:
+    """Increment source that replays the rows of a drawn path in order."""
+
+    def __init__(self, path: np.ndarray):
+        self.path = path
 
     def increment_at(self, step: int, t_from: float, t_to: float) -> WienerIncrement:
         if t_to <= t_from:
             raise ValueError(f"non-positive interval [{t_from}, {t_to}]")
-        xi = self.fine.mode_increments(step * self.ratio, self.dt_fine)
-        for r in range(1, self.ratio):
-            xi = xi + self.fine.mode_increments(step * self.ratio + r, self.dt_fine)
-        return WienerIncrement(self.fine.values_from_modes(xi), t_from, t_to)
+        return WienerIncrement(self.path[step], t_from, t_to)

@@ -4,7 +4,8 @@ One step composes the exact pointwise nonlinear/stochastic flow with
 Crank-Nicolson solves of the linear part on the overlapping collocation
 mesh; in 2D the linear part is swept dimension by dimension. One step body
 serves one or two axes, and it alone writes the Dirichlet edges: those
-across an axis are set just before that axis's solve.
+across an axis are set just before that axis's solve. In 1D a block of
+trajectories can be stepped as the columns of one state.
 """
 
 from dataclasses import dataclass, field
@@ -69,15 +70,19 @@ def _odds_step(values: np.ndarray, t: float, tau: float,
                ) -> np.ndarray:
     """One step on one or two axes: the phase flow, then each axis's solve.
 
-    Along each axis in turn, the two edges across it, corners included, are
-    set to the Dirichlet data at t + tau. Every line over the interior of the
-    other axis shares that axis's CN system, so the lines are then advanced
-    by one cn_step_linear call on the block of them, which keeps the edges
-    and takes the data at t and t + tau as its forcing.
+    values has one axis per mesh, and in 1D may have one more, the columns
+    of a block of trajectories. Along each axis in turn, the two edges
+    across it, corners included, are set to the Dirichlet data at t + tau.
+    Every line over the interior of the other axis shares that axis's CN
+    system, so the lines are then advanced by one cn_step_linear call on the
+    block of them, which keeps the edges and takes the data at t and t + tau
+    as its forcing.
     """
     w = nonlinear_flow(values, tau, problem.lam, problem.eps, dw)
     # in a view with the solved axis first: all of it, the other's interior
-    inner = (slice(None),) + (slice(1, -1),) * (w.ndim - 1)
+    inner = (slice(None),) + (slice(1, -1),) * (len(meshes) - 1)
+    # the data are the same for every column of a block of trajectories
+    columns = (None,) * (w.ndim - len(meshes))
     for axis, system in enumerate(systems):
         lines = w.swapaxes(0, axis)
         if problem.boundary is None:
@@ -86,9 +91,10 @@ def _odds_step(values: np.ndarray, t: float, tau: float,
         else:
             coords = [mesh.nodes for mesh in meshes]
             ends = meshes[axis].nodes[[0, -1]]
-            coords[axis] = ends[:, None] if w.ndim == 2 else ends
+            coords[axis] = ends[:, None] if len(meshes) == 2 else ends
             bc_old, bc_new = (
-                np.asarray(problem.boundary(at, *coords), dtype=complex)
+                np.asarray(problem.boundary(at, *coords),
+                           dtype=complex)[(..., *columns)]
                 for at in (t, t + tau))
             lines[[0, -1]] = bc_new
             forcing = system.boundary_forcing(bc_old[inner], bc_new[inner])
@@ -140,10 +146,12 @@ class TrajectoryResult:
 def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
                    n_steps: int, t0: float = 0.0,
                    options: RunOptions | None = None) -> TrajectoryResult:
-    """Integrate one trajectory over n_steps steps of size tau.
+    """Integrate one trajectory, or a block of them, over n_steps of tau.
 
     Args:
-        u0: initial grid values, shape (n,) in 1D or (nx, ny) in 2D.
+        u0: initial grid values, shape (n,) in 1D or (nx, ny) in 2D; in 1D
+            an (n, P) block steps P trajectories as the columns of one
+            state, with (n, P) noise increments and no invariants.
         mesh: OverlapMesh1D, or a tuple of one per axis: (mesh,) or
             (mesh_x, mesh_y).
         problem: equation parameters and Dirichlet data.
@@ -159,7 +167,8 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
     Raises:
         StepFailure: a linear solve did not reach tolerance mid-run; a NaN
             or inf in the state fails the solve of the step it enters.
-        ValueError: inconsistent shapes, missing noise, bad snapshot indices.
+        ValueError: inconsistent shapes, missing noise, bad snapshot
+            indices, or invariants asked of a block.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -169,8 +178,14 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
     axes = mesh if isinstance(mesh, tuple) else (mesh,)
     expected = tuple(axis.n_nodes for axis in axes)
     values = np.array(u0, dtype=complex)
-    if values.shape != expected:
+    if values.shape[:len(axes)] != expected:
         raise ValueError(f"u0 shape {values.shape}, mesh wants {expected}")
+    if values.ndim > len(axes) + (len(axes) == 1):
+        raise ValueError(f"u0 shape {values.shape}: only a 1D state takes "
+                         "one more axis, of trajectories")
+    if values.ndim > len(axes) and options.record_invariants:
+        raise ValueError("a block of trajectories records no invariants; "
+                         "set record_invariants=False")
     if problem.eps != 0.0 and options.noise is None:
         raise ValueError("eps != 0 requires a noise source in RunOptions")
     for s in options.snapshot_steps:
@@ -203,6 +218,9 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
         dw = None
         if problem.eps != 0.0:
             dw = options.noise.increment_at(k, t, t + tau).values
+            if dw.shape != values.shape:
+                raise ValueError(f"noise increment shape {dw.shape} at step "
+                                 f"{k}, state shape {values.shape}")
         try:
             values = step(values, t, tau, problem, *axes, *systems,
                           options.solver, dw)

@@ -1,9 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 
 from odds_nls.baselines import (FDSCN1D, FDSCN2D, SMM1D, SMM2D,
-                                UniformGrid1D, run_uniform_trajectory,
-                                uniform_grid_1d)
+                                FixedPointError, UniformGrid1D,
+                                run_uniform_trajectory, uniform_grid_1d)
+from odds_nls.config import apply_overrides, builtin_configs
+from odds_nls.experiments import soliton_datum
 from odds_nls.linalg import SolverOptions
 from odds_nls.noise import NoiseModel1D, NoiseModel2D
 from odds_nls.stepper import StepFailure
@@ -305,3 +309,23 @@ class TestDriver:
         assert info.value.residual > 0
         assert "SMM1D" in str(info.value) and "step 0" in str(info.value)
         assert "t = 0.5" in str(info.value)
+
+    def test_runaway_fixed_point_fails_fast(self):
+        # SMM's update grows 3.4 -> 284 in the first step of this efficiency
+        # run; iterating on let the LU solve's residual check spin through
+        # 400 Arnoldi restarts (about 3 s) before it failed
+        cfg = apply_overrides(builtin_configs()["efficiency"], [
+            "uniform_points=121", "tau=0.5", "lam=40", "t_final=0.5"])
+        grid = uniform_grid_1d(cfg.x_left, cfg.x_right, cfg.uniform_points)
+        u0 = soliton_datum(grid.nodes)
+        u0[[0, -1]] = 0.0
+        model = NoiseModel1D.build(cfg.x_left, cfg.x_right, grid.nodes,
+                                   modes=cfg.modes, seed=cfg.seed)
+        m = SMM1D(grid, cfg.tau, cfg.lam, cfg.eps)
+        start = time.perf_counter()
+        with pytest.raises(StepFailure) as info:
+            run_uniform_trajectory(m, u0, 1, noise=model.trajectory(0))
+        assert time.perf_counter() - start < 0.5
+        assert isinstance(info.value.__cause__, FixedPointError)
+        assert "runs away" in str(info.value)
+        assert info.value.residual > 1.0

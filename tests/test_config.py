@@ -49,6 +49,17 @@ class TestValidation:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize("changes", [
+        {"tau_ladder": (0.1,), "tau_ref": 0.003125},
+        {"tau_ref": 0.3 / 256, "tau_ladder": (0.3 / 16,)},
+    ], ids=["ladder_tau", "tau_ref"])
+    def test_rejects_convergence_horizon_off_the_step_grid(self, changes):
+        # t_final = 0.25 is 2.5 steps of 0.1, so that level would end at
+        # 0.2; 0.25 / (0.3 / 256) is not whole either
+        cfg = dataclasses.replace(builtin_configs()["convergence"], **changes)
+        with pytest.raises(ConfigError, match="whole number of steps"):
+            cfg.validate()
+
     def test_rejects_bad_efficiency_fields(self):
         base = builtin_configs()["efficiency"]
         with pytest.raises(ConfigError):

@@ -281,6 +281,40 @@ class TestOtherRunners:
         run_experiment(cfg, workers=1)
         assert sorted(draws) == [(p, k) for p in range(2) for k in range(16)]
 
+    def test_convergence_blocks_do_not_depend_on_workers(self, tmp_path):
+        # 17 trajectories make two blocks, of 16 and 1; a block is cut by
+        # trajectory index, so one or two workers write the same table
+        assert experiments.CONVERGENCE_BLOCK == 16
+        tables = []
+        for workers in (1, 2):
+            cfg = from_mapping({"kind": "convergence", "elements": 2,
+                                "degree": 4, "modes": 8, "trajectories": 17,
+                                "tau_ladder": [0.05, 0.025],
+                                "tau_ref": 0.0125, "tau": 0.0125,
+                                "t_final": 0.1,
+                                "output_dir": str(tmp_path / str(workers))})
+            result = run_experiment(cfg, workers=workers)
+            tables += [p for p in result.paths if p.endswith("table.csv")]
+            assert result.manifest["per_trajectory_seeds"] == [
+                [0, p] for p in range(17)]
+        assert read_bytes(tables[0]) == read_bytes(tables[1])
+
+    def test_convergence_job_matches_one_block_per_trajectory(self):
+        # a block's rows are the errors its trajectories get one by one;
+        # the states agree bitwise, but a block weighs its errors with one
+        # matrix-vector product, which may round the last bit differently
+        cfg = from_mapping({"kind": "convergence", "elements": 2,
+                            "degree": 5, "modes": 10, "eps": 0.3,
+                            "tau_ladder": [0.05, 0.025], "tau_ref": 0.0125,
+                            "tau": 0.0125, "t_final": 0.1})
+        ctx = experiments._convergence_ctx(cfg)
+        block = experiments._convergence_job(ctx, range(3, 6))
+        assert block.shape == (3, 2)
+        for j, p in enumerate(range(3, 6)):
+            np.testing.assert_allclose(
+                block[j], experiments._convergence_job(ctx, range(p, p + 1))[0],
+                rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_efficiency_times_all_schemes(self, tmp_path, dimension):
         cfg = from_mapping({"kind": "efficiency", "dimension": dimension,

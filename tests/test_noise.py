@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from odds_nls.noise import (AggregatedNoise, MemoizedNoise, NoiseModel1D,
-                            NoiseModel2D)
+from odds_nls.noise import (NoiseModel1D, NoiseModel2D, ReplayNoise, coarsen,
+                            draw_path)
 
 
 @pytest.fixture
@@ -78,37 +78,54 @@ def test_trajectories_differ(grid):
     assert np.max(np.abs(a - b)) > 1e-3
 
 
-def test_aggregated_increments_sum_fine_blocks(grid):
+def test_path_holds_each_trajectory_increment(grid):
+    model = NoiseModel1D.build(-1.0, 1.0, grid, modes=12, seed=4)
+    path = draw_path(model, range(3, 6), 7, 0.01)
+    assert path.shape == (7, grid.size, 3)
+    for j, p in enumerate(range(3, 6)):
+        for k in range(7):
+            np.testing.assert_array_equal(
+                path[k, :, j],
+                model.trajectory(p).increment_at(k, 0.0, 0.01).values)
+
+
+def test_coarse_path_sums_the_fine_increments(grid):
     model = NoiseModel1D.build(-1.0, 1.0, grid, modes=30, seed=7)
     tau_fine = 0.01
     ratio = 4
-    agg = AggregatedNoise(model.trajectory(5), ratio, tau_fine)
-    coarse = agg.increment_at(2, 0.08, 0.12).values
+    coarse = coarsen(draw_path(model, [5], 3 * ratio, tau_fine), ratio)
     fine = model.trajectory(5)
     manual = sum(fine.increment_at(2 * ratio + r, 0.0, tau_fine).values
                  for r in range(ratio))
-    np.testing.assert_allclose(coarse, manual, atol=1e-15)
+    np.testing.assert_allclose(coarse[2, :, 0], manual, atol=1e-15)
 
 
-def test_memoized_noise_replays_the_trajectory_draws(grid):
-    model = NoiseModel1D.build(-1.0, 1.0, grid, modes=12, seed=4)
-    memo = MemoizedNoise(model, 3)
-    plain = model.trajectory(3)
-    first = memo.mode_increments(5, 0.01)
-    assert memo.mode_increments(5, 0.01) is first
-    np.testing.assert_array_equal(first, plain.mode_increments(5, 0.01))
-    np.testing.assert_array_equal(memo.mode_increments(5, 0.02),
-                                  plain.mode_increments(5, 0.02))
-    assert not first.flags.writeable
-    np.testing.assert_array_equal(
-        AggregatedNoise(memo, 2, 0.01).increment_at(1, 0.0, 0.02).values,
-        AggregatedNoise(plain, 2, 0.01).increment_at(1, 0.0, 0.02).values)
+@pytest.mark.parametrize("shape", [(48, 41, 3), (48, 1, 1), (36, 3, 16)])
+@pytest.mark.parametrize("ratio", [1, 2, 12])
+def test_coarsen_is_the_sequential_sum(shape, ratio):
+    path = np.random.default_rng(1).standard_normal(shape)
+    want = np.empty((shape[0] // ratio,) + shape[1:])
+    for n in range(len(want)):
+        total = path[n * ratio]
+        for r in range(1, ratio):
+            total = total + path[n * ratio + r]
+        want[n] = total
+    np.testing.assert_array_equal(coarsen(path, ratio), want)
 
 
-def test_aggregated_rejects_bad_ratio(grid):
-    model = NoiseModel1D.build(-1.0, 1.0, grid, modes=2, seed=0)
+@pytest.mark.parametrize("ratio", [0, -2, 3, 16])
+def test_coarsen_rejects_a_ratio_that_does_not_divide_the_steps(ratio):
     with pytest.raises(ValueError):
-        AggregatedNoise(model.trajectory(0), 0, 0.1)
+        coarsen(np.zeros((8, 5, 2)), ratio)
+
+
+def test_replay_returns_the_rows_of_its_path():
+    path = np.arange(24.0).reshape(4, 3, 2)
+    inc = ReplayNoise(path).increment_at(2, 0.5, 0.75)
+    np.testing.assert_array_equal(inc.values, path[2])
+    assert (inc.t_from, inc.t_to) == (0.5, 0.75)
+    with pytest.raises(ValueError):
+        ReplayNoise(path).increment_at(2, 0.75, 0.75)
 
 
 def test_rejects_nonpositive_interval(grid):

@@ -3,7 +3,7 @@ import pytest
 
 from odds_nls.linalg import SolverOptions, build_cn_system, cn_step_linear
 from odds_nls.mesh import assemble_global, build_mesh
-from odds_nls.noise import NoiseModel1D, NoiseModel2D
+from odds_nls.noise import NoiseModel1D, NoiseModel2D, ReplayNoise, draw_path
 from odds_nls.stepper import (ProblemSpec, RunOptions, StepFailure,
                               TrajectoryResult, nonlinear_flow, odds_step_1d,
                               odds_step_2d, run_trajectory)
@@ -220,6 +220,63 @@ class TestRunTrajectory:
         run_trajectory(u0, mesh, ProblemSpec(), 0.01, 2,
                        options=RunOptions(record_invariants=False))
         assert orders == [2] * dimension
+
+
+class TestBlock:
+    """Trajectories stepped as the columns of one (n, P) state."""
+
+    def setup_method(self):
+        self.mesh = build_mesh(-1.0, 1.0, 3, 7)
+        self.model = NoiseModel1D.build(-1.0, 1.0, self.mesh.nodes, modes=30,
+                                        seed=5)
+        self.u0 = np.sin(np.pi * self.mesh.nodes) * (1.0 + 0.3j)
+
+    @pytest.mark.parametrize("boundary", [
+        None, lambda t, x: 0.2 * np.exp(1j * (x - 3.0 * t))],
+        ids=["homogeneous", "inhomogeneous"])
+    def test_block_matches_single_runs(self, boundary):
+        # the same path replayed as one block and column by column: the
+        # phase, the CSR product and the LU solve treat each column of a
+        # block as they treat a single line, so the bytes agree
+        tau, n_steps = 0.01, 12
+        path = draw_path(self.model, range(4, 7), n_steps, tau)
+        problem = ProblemSpec(lam=1.5, eps=0.4, boundary=boundary)
+
+        def final(u0, noise):
+            opts = RunOptions(noise=ReplayNoise(noise), solver=TIGHT,
+                              record_invariants=False)
+            return run_trajectory(u0, self.mesh, problem, tau, n_steps,
+                                  options=opts).state.values
+
+        block = final(np.repeat(self.u0[:, None], 3, axis=1), path)
+        assert block.shape == (self.mesh.n_nodes, 3)
+        for j in range(3):
+            np.testing.assert_array_equal(block[:, j],
+                                          final(self.u0, path[..., j]))
+        assert np.max(np.abs(block[:, 0] - block[:, 1])) > 1e-6
+
+    def test_block_rejects_invariants(self):
+        u0 = np.repeat(self.u0[:, None], 2, axis=1)
+        with pytest.raises(ValueError, match="invariants"):
+            run_trajectory(u0, self.mesh, ProblemSpec(), 0.01, 2)
+
+    def test_block_rejects_a_one_trajectory_increment(self):
+        u0 = np.repeat(self.u0[:, None], 2, axis=1)
+        opts = RunOptions(noise=self.model.trajectory(0),
+                          record_invariants=False)
+        with pytest.raises(ValueError, match="noise increment shape"):
+            run_trajectory(u0, self.mesh, ProblemSpec(eps=0.1), 0.01, 2,
+                           options=opts)
+
+    def test_rejects_a_second_extra_axis_and_a_2d_block(self):
+        opts = RunOptions(record_invariants=False)
+        with pytest.raises(ValueError, match="one more axis"):
+            run_trajectory(np.zeros((self.mesh.n_nodes, 2, 2), complex),
+                           self.mesh, ProblemSpec(), 0.01, 1, options=opts)
+        axes = (self.mesh, build_mesh(0.0, 1.0, 1, 4))
+        with pytest.raises(ValueError, match="one more axis"):
+            run_trajectory(np.zeros((self.mesh.n_nodes, 5, 2), complex),
+                           axes, ProblemSpec(), 0.01, 1, options=opts)
 
 
 class TestStep2D:
