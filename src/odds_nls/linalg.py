@@ -10,18 +10,16 @@ data enters through an affine forcing term built from the two boundary
 columns D2[1:-1, [0, -1]].
 
 The matrix depends only on the mesh and tau, so every time step solves it
-with one sparse LU factor (LUSolver), built on the first solve. The
-factor's solution is the initial iterate of the restarted Arnoldi solver
-krylov_solve (krylov_solve_block for many right-hand sides), which checks
-its residual with one matvec and returns it when it meets the tolerance;
-Arnoldi cycles run only for a solution that misses it.
+with one sparse LU factor (LUSolver), built on the first solve. One matvec
+checks the factor's solution against the max-norm residual target
+(krylov_solve, krylov_solve_block for many right-hand sides); only a
+solution that misses it is refined by SciPy's restarted GMRES.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
@@ -44,26 +42,26 @@ class KrylovError(RuntimeError):
 class SolverOptions:
     """Tolerances of a linear solve.
 
-    residual_tol applies to every solve. The Arnoldi fields govern the
-    cycles of krylov_solve, which on the step path run only when the LU
-    solution misses residual_tol.
+    residual_tol applies to every solve. The GMRES fields govern the
+    refinement in krylov_solve, which on the step path runs only when the
+    LU solution misses residual_tol.
     """
 
     residual_tol: float = 1e-5     # max-norm target on b - G x
-    breakdown_tol: float = 1e-4    # Arnoldi happy-breakdown threshold
-    max_krylov: int = 200          # restart length cap
-    max_restarts: int = 400
+    max_krylov: int = 200          # GMRES restart length
+    max_restarts: int = 400        # GMRES restart cycles
 
 
 def krylov_solve(G, b: np.ndarray, x0: np.ndarray | None = None,
                  opts: SolverOptions | None = None) -> np.ndarray:
-    """Restarted Arnoldi minimal-residual solve of G x = b.
+    """Solve G x = b to a max-norm residual of opts.residual_tol.
 
-    Classical Gram-Schmidt orthogonalisation; the small least-squares problem
-    on the Hessenberg matrix is solved at breakdown or at the restart length.
-    Convergence is declared on the max-norm of the true residual.
+    One matvec checks x0 (zero when None), which is returned when it meets
+    the target. Otherwise SciPy's restarted GMRES refines it to a 2-norm
+    residual of residual_tol, which bounds the max-norm. G needs only shape
+    and @.
 
-    Raises KrylovError if the residual target is not met within
+    Raises KrylovError if the true residual misses the target after
     opts.max_restarts cycles, and at once if the residual of x0 is not
     finite.
     """
@@ -77,49 +75,18 @@ def krylov_solve(G, b: np.ndarray, x0: np.ndarray | None = None,
     if not math.isfinite(res):
         raise KrylovError(f"residual {res} is not finite", residual=res)
 
-    m = min(n, opts.max_krylov)
-    V = np.empty((m + 1, n))
-    H = np.zeros((m + 1, m))
-
-    # The residual is evaluated only at cycle boundaries: each inner cycle
-    # runs to happy breakdown or the restart length before the correction is
-    # formed. Within-cycle residual monitoring would exit sooner but is a
-    # different algorithm. On the step path the cycles run only when an LU
-    # solution misses the tolerance, so their cost no longer sets the cost
-    # of a step.
-    breakdown_tol = opts.breakdown_tol
-    for _ in range(opts.max_restarts):
-        beta = math.sqrt(r @ r)
-        if beta == 0.0:
-            return x
-        V[0] = r / beta
-        H[:] = 0.0
-        for j in range(m):
-            w = G @ V[j]
-            Vj = V[:j + 1]
-            h = Vj @ w
-            w -= Vj.T @ h
-            H[:j + 1, j] = h
-            hj1 = math.sqrt(w @ w)
-            H[j + 1, j] = hj1
-            if hj1 < breakdown_tol or j == m - 1:
-                e1 = np.zeros(j + 2)
-                e1[0] = beta
-                # rank-revealing least squares: near breakdown the Hessenberg
-                # factor is numerically rank deficient
-                y = scipy.linalg.lstsq(H[:j + 2, :j + 1], e1,
-                                       lapack_driver="gelsy",
-                                       check_finite=False)[0]
-                x = x + Vj.T @ y
-                r = b - G @ x
-                break
-            np.divide(w, hj1, out=V[j + 1])
-        if np.max(np.abs(r)) <= opts.residual_tol:
-            return x
+    op = scipy.sparse.linalg.LinearOperator(G.shape, matvec=lambda v: G @ v,
+                                            dtype=float)
+    x, _ = scipy.sparse.linalg.gmres(op, b, x, rtol=0.0,
+                                     atol=opts.residual_tol,
+                                     restart=opts.max_krylov,
+                                     maxiter=opts.max_restarts)
+    res = float(np.max(np.abs(b - G @ x)))
+    if res <= opts.residual_tol:
+        return x
     raise KrylovError(
         f"no convergence after {opts.max_restarts} restarts "
-        f"(residual {np.max(np.abs(r)):.3e} > {opts.residual_tol:.1e})",
-        residual=float(np.max(np.abs(r))))
+        f"(residual {res:.3e} > {opts.residual_tol:.1e})", residual=res)
 
 
 def krylov_solve_block(G, B: np.ndarray, X0: np.ndarray,
@@ -154,9 +121,9 @@ class LUSolver:
 
         The factor's solution starts krylov_solve (krylov_solve_block for a
         block): one matvec checks its residual against opts.residual_tol, and
-        only a solution that misses it is refined by Arnoldi cycles. Raises
-        KrylovError when those give up, and at once when the residual is not
-        finite (a NaN or inf in b).
+        only a solution that misses it is refined by GMRES. Raises
+        KrylovError when GMRES misses it too, and at once when the residual
+        is not finite (a NaN or inf in b).
         """
         if self._lu is None:
             self._lu = scipy.sparse.linalg.splu(sp.csc_matrix(self.G))
@@ -179,7 +146,6 @@ class CNSystem:
     B_boundary: sp.csr_matrix   # (n_int, 2) couplings to the two end nodes
     tau: float
     n_interior: int
-    F: np.ndarray = field(default=None)  # zero forcing of homogeneous data
     lu: LUSolver = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -202,8 +168,7 @@ def build_cn_system(mesh: OverlapMesh1D, tau: float) -> CNSystem:
     """Assemble the CN system for one mesh and step size.
 
     G and G' are built from slices of the assembled operator; like it, they
-    store no zeros. Its forcing F is the zero vector of homogeneous
-    Dirichlet data.
+    store no zeros.
     """
     D2 = assemble_global(mesh, 2)
     B = D2[1:-1, 1:-1]
@@ -212,7 +177,7 @@ def build_cn_system(mesh: OverlapMesh1D, tau: float) -> CNSystem:
     G = sp.bmat([[-half * B, eye], [eye, half * B]], format="csr")
     Gp = sp.bmat([[half * B, eye], [eye, -half * B]], format="csr")
     return CNSystem(G=G, G_explicit=Gp, B=B, B_boundary=D2[1:-1, [0, -1]],
-                    tau=tau, n_interior=B.shape[0], F=np.zeros(2 * B.shape[0]))
+                    tau=tau, n_interior=B.shape[0])
 
 
 def stack_real(u: np.ndarray) -> np.ndarray:
@@ -227,7 +192,7 @@ def unstack_real(U: np.ndarray) -> np.ndarray:
 
 def cn_step_linear(system: CNSystem, u: np.ndarray,
                    opts: SolverOptions | None = None,
-                   forcing: np.ndarray | None = None,
+                   forcing: np.ndarray | float = 0.0,
                    bc_new: tuple[complex, complex] | None = None) -> np.ndarray:
     """Advance a line or a block of lines one linear CN step along axis 0.
 
@@ -236,16 +201,14 @@ def cn_step_linear(system: CNSystem, u: np.ndarray,
     values of one line or a (2, m) array of them, or kept when no new
     boundary data is supplied. forcing is the stacked real affine term of
     the boundary data (CNSystem.boundary_forcing), one column per line of a
-    block; None means the system's F, the zero forcing of homogeneous data.
-    Interior values are solved from the stacked real system with the
-    system's LU factor, all lines of a block at once.
+    block; the scalar 0.0, the default, is the zero forcing of homogeneous
+    data for a line or a block. Interior values are solved from the stacked
+    real system with the system's LU factor, all lines of a block at once.
 
-    Raises KrylovError when neither the LU solution nor its Arnoldi
+    Raises KrylovError when neither the LU solution nor its GMRES
     refinement meets opts.residual_tol, and at once for a NaN or inf in u.
     """
     U = stack_real(u[1:-1])
-    if forcing is None:
-        forcing = system.F.reshape((-1,) + (1,) * (u.ndim - 1))
     sol = system.lu.solve(system.G_explicit @ U + forcing, opts)
     out = np.empty_like(u)
     out[1:-1] = unstack_real(sol)

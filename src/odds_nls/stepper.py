@@ -168,7 +168,7 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
         StepFailure: a linear solve did not reach tolerance mid-run; a NaN
             or inf in the state fails the solve of the step it enters.
         ValueError: inconsistent shapes, missing noise, bad snapshot
-            indices, or invariants asked of a block.
+            indices, invariant_stride < 1, or invariants asked of a block.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -188,6 +188,9 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
                          "set record_invariants=False")
     if problem.eps != 0.0 and options.noise is None:
         raise ValueError("eps != 0 requires a noise source in RunOptions")
+    if options.invariant_stride < 1:
+        raise ValueError(f"invariant_stride must be >= 1, got "
+                         f"{options.invariant_stride}")
     for s in options.snapshot_steps:
         if not 0 <= s <= n_steps:
             raise ValueError(f"snapshot step {s} outside [0, {n_steps}]")
@@ -206,7 +209,7 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
     if 0 in wanted:
         snapshots[0] = values.copy()
     times, charges, energies = [], [], []
-    stride = max(1, options.invariant_stride)
+    stride = options.invariant_stride
     if options.record_invariants:
         q, e = invariants(values)
         times.append(t0)

@@ -292,7 +292,7 @@ class TestDriver:
     @pytest.mark.parametrize("cause", ["fixed_point", "linear_solve"])
     def test_step_failure_names_scheme_step_and_time(self, cause):
         # a strong cubic term at a long step stalls SMM's fixed point; an
-        # unreachable tolerance stops its LU/Arnoldi solve
+        # unreachable tolerance stops its LU/GMRES solve
         grid = uniform_grid_1d(-20.0, 20.0, 41)
         u0 = np.sqrt(2.0) / np.cosh(grid.nodes) + 0j
         u0[0] = u0[-1] = 0.0
@@ -313,7 +313,7 @@ class TestDriver:
     def test_runaway_fixed_point_fails_fast(self):
         # SMM's update grows 3.4 -> 284 in the first step of this efficiency
         # run; iterating on let the LU solve's residual check spin through
-        # 400 Arnoldi restarts (about 3 s) before it failed
+        # 400 Krylov restarts (about 3 s) before it failed
         cfg = apply_overrides(builtin_configs()["efficiency"], [
             "uniform_points=121", "tau=0.5", "lam=40", "t_final=0.5"])
         grid = uniform_grid_1d(cfg.x_left, cfg.x_right, cfg.uniform_points)

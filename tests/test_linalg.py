@@ -107,7 +107,7 @@ class TestLUSolver:
         solver = LUSolver(sp.csr_matrix(rng.standard_normal((15, 15))
                                         + 15 * np.eye(15)))
         b = rng.standard_normal(15)
-        # the LU solution misses an unreachable tolerance, so Arnoldi
+        # the LU solution misses an unreachable tolerance, so GMRES
         # refinement runs until its restarts are spent
         hopeless = SolverOptions(residual_tol=1e-30, max_krylov=4,
                                  max_restarts=2)
@@ -123,10 +123,14 @@ class TestLUSolver:
 
 
 class MatvecCount:
-    """A matrix that counts its products with vectors, one per column."""
+    """A matrix that counts its products with vectors, one per column.
+
+    It has only a shape and @, as a tracing proxy of a solver matrix has.
+    """
 
     def __init__(self, A):
         self.A = A
+        self.shape = A.shape
         self.count = 0
 
     def __matmul__(self, x):
@@ -158,6 +162,26 @@ class TestResidualCheck:
                                       np.delete(self.X, 2, axis=1))
         np.testing.assert_array_equal(
             out[:, 2], krylov_solve(self.A, self.B[:, 2], x0=X0[:, 2]))
+
+    def test_refines_a_missed_start_on_a_cn_system(self):
+        system = build_cn_system(build_mesh(-1.0, 1.0, 4, 8), 0.01)
+        rng = np.random.default_rng(12)
+        b = rng.standard_normal(system.G.shape[0])
+        x0 = system.lu.solve(b) + 1e-3
+        G = MatvecCount(system.G)
+        tol = SolverOptions().residual_tol
+        assert np.max(np.abs(b - system.G @ x0)) > tol
+        x = krylov_solve(G, b, x0=x0)
+        assert np.max(np.abs(b - system.G @ x)) <= tol
+        assert G.count > 2      # the check, GMRES's products, the check
+        hopeless = SolverOptions(residual_tol=1e-30, max_krylov=4,
+                                 max_restarts=2)
+        with pytest.raises(KrylovError) as info:
+            krylov_solve(G, b, x0=x0, opts=hopeless)
+        last, _ = scipy.sparse.linalg.gmres(system.G, b, x0, rtol=0.0,
+                                            atol=1e-30, restart=4, maxiter=2)
+        assert info.value.residual == np.max(np.abs(b - system.G @ last))
+        assert 0 < info.value.residual < np.max(np.abs(b - system.G @ x0))
 
     def test_non_finite_start_fails_after_one_matvec(self):
         G = MatvecCount(self.A)
@@ -245,8 +269,7 @@ class TestCNStep:
         fwd = build_cn_system(mesh, tau)
         bwd = CNSystem(G=fwd.G_explicit.copy(), G_explicit=fwd.G.copy(),
                        B=fwd.B, B_boundary=fwd.B_boundary, tau=-tau,
-                       n_interior=fwd.n_interior,
-                       F=np.zeros(2 * fwd.n_interior))
+                       n_interior=fwd.n_interior)
         rng = np.random.default_rng(7)
         u = rng.standard_normal(mesh.n_nodes) + 1j * rng.standard_normal(mesh.n_nodes)
         u[0] = u[-1] = 0.0
@@ -306,8 +329,13 @@ class TestCNStep:
         np.testing.assert_allclose(got[1:-1], want, atol=1e-9)
         np.testing.assert_allclose(got[[0, -1]], bc(tau), atol=0)
 
-    def test_default_forcing_is_zero_vector(self):
+    def test_omitted_forcing_equals_zero_forcing(self):
         mesh = build_mesh(-1.0, 1.0, 2, 6)
         system = build_cn_system(mesh, 0.01)
-        assert system.F.shape == (2 * system.n_interior,)
-        assert not np.any(system.F)
+        rng = np.random.default_rng(13)
+        for shape in [(mesh.n_nodes,), (mesh.n_nodes, 3)]:
+            u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            zeros = np.zeros((2 * system.n_interior,) + shape[1:])
+            np.testing.assert_array_equal(
+                cn_step_linear(system, u),
+                cn_step_linear(system, u, forcing=zeros))

@@ -199,6 +199,14 @@ class TestRunTrajectory:
         with pytest.raises(ValueError):
             run_trajectory(np.zeros(3, complex), mesh, problem, 0.01, 1)
 
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_rejects_invariant_stride_below_one(self, stride):
+        mesh = build_mesh(-1.0, 1.0, 2, 6)
+        u0 = np.zeros(mesh.n_nodes, complex)
+        opts = RunOptions(invariant_stride=stride)
+        with pytest.raises(ValueError, match="invariant_stride"):
+            run_trajectory(u0, mesh, ProblemSpec(), 0.01, 2, options=opts)
+
     @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
     def test_assembles_only_the_cn_operators_without_invariants(
             self, monkeypatch, dimension):
