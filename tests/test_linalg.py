@@ -329,7 +329,8 @@ class TestCNStep:
         np.testing.assert_allclose(got[1:-1], want, atol=1e-9)
         np.testing.assert_allclose(got[[0, -1]], bc(tau), atol=0)
 
-    def test_omitted_forcing_equals_zero_forcing(self):
+    def test_default_forcing_is_zero_vector(self):
+        # omitting forcing equals passing zeros, for a line and for a block
         mesh = build_mesh(-1.0, 1.0, 2, 6)
         system = build_cn_system(mesh, 0.01)
         rng = np.random.default_rng(13)
