@@ -31,7 +31,7 @@ import scipy.sparse as sp
 
 from .linalg import (KrylovError, LUSolver, SolverOptions, stack_real,
                      unstack_real)
-from .stepper import StepFailure
+from .stepper import StepFailure, state_sha256
 
 FP_TOL = 1e-12
 FP_MAXITER = 50
@@ -290,13 +290,14 @@ def run_uniform_trajectory(method, u0: np.ndarray, n_steps: int,
         if method.eps != 0.0:
             if noise is None:
                 raise ValueError("eps != 0 requires a noise source")
-            dw = noise.increment_at(k, t, t + tau).values
+            dw = noise.grid_increments(k, tau)
         try:
             values = method.step(values, dw)
         except (FixedPointError, KrylovError) as err:
             raise StepFailure(
                 f"{type(method).__name__} failed at step {k} "
                 f"(t = {t:.6g}): {err}",
-                step=k, time=t, residual=err.residual) from err
+                step=k, time=t, residual=err.residual,
+                state_sha256=state_sha256(values)) from err
         t = t0 + (k + 1) * tau
     return values

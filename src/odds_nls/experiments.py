@@ -4,7 +4,8 @@ Each runner builds its setup from an ExperimentConfig, farms trajectories over
 a process pool (seeds are pre-assigned per trajectory index, results reduced
 in index order, so outputs are byte-identical for any worker count), and
 writes long-format CSVs plus a JSON manifest holding the config, its hash,
-per-trajectory seeds, stage timings, and any step failures.
+per-trajectory seeds, stage timings, and any step failures, each with the
+seed, trajectory, step, time and state hash that replay it.
 """
 
 import json
@@ -154,6 +155,17 @@ def _manifest(config: ExperimentConfig, trajectories, stages: dict,
     return man
 
 
+def _failure(config: ExperimentConfig, exc: StepFailure, **where) -> dict:
+    """Manifest record of a failed run: enough to replay its failed step.
+
+    where names the run; the seed and the sha256 of the state that entered
+    the step let that step be rerun and checked.
+    """
+    return {**where, "seed": config.seed, "step": exc.step,
+            "time": exc.time, "state_sha256": exc.state_sha256,
+            "error": str(exc)}
+
+
 def _write_manifest(dirpath: str, man: dict) -> str:
     path = os.path.join(dirpath, "manifest.json")
     with open(path, "w") as fh:
@@ -266,8 +278,7 @@ def _trajectory_job(ctx, p):
                              config.tau, round(config.t_final / config.tau),
                              options=options)
     except StepFailure as exc:
-        return {"trajectory": p, "step": exc.step, "time": exc.time,
-                "error": str(exc)}
+        return _failure(config, exc, trajectory=p)
     return res
 
 
@@ -338,8 +349,7 @@ def run_gaussian2d(config: ExperimentConfig, workers: int = 1) -> RunResult:
                                  ProblemSpec(config.lam, eps), config.tau,
                                  n_steps, options=options)
         except StepFailure as exc:
-            failures.append({"eps": eps, "step": exc.step, "time": exc.time,
-                             "error": str(exc)})
+            failures.append(_failure(config, exc, eps=eps, trajectory=0))
             continue
         finally:
             stages[f"run_eps_{eps:g}"] = time.perf_counter() - t0

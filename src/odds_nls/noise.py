@@ -1,17 +1,24 @@
 """Truncated Karhunen-Loeve sampling of Q-Wiener increments.
 
-Per-mode Brownian increments are drawn from a counter-based generator keyed
-by (master seed, trajectory index, step index), so any increment can be
-regenerated out of order and results do not depend on scheduling. Grid values
-are the mode increments pushed through a cached basis matrix whose columns
-vanish identically at the domain boundary. The grid increments of a block of
-trajectories can be drawn once as one path, summed into coarser steps and
-replayed.
+A trajectory's steps come in chunks of consecutive steps. The per-mode
+standard normals of a chunk are drawn in one call from a counter-based
+generator keyed by (master seed, trajectory index, chunk index), so any
+increment can be regenerated out of order, by drawing its chunk, and results
+do not depend on scheduling. Grid values are a chunk's normals pushed through
+a cached basis, whose columns vanish identically at the domain boundary, in
+one product per chunk; a step's increment over dt is sqrt(dt) times its row.
+The grid increments of a block of trajectories can be drawn once as one path,
+summed into coarser steps and replayed.
 """
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
+
+# Standard normals per chunk: a chunk holds as many consecutive steps as fit,
+# and at least one. 8192 gives 16 steps at 500 modes and 2 at 64 x 64.
+CHUNK_NORMALS = 8192
 
 
 @dataclass(frozen=True)
@@ -19,13 +26,6 @@ class WienerIncrement:
     values: np.ndarray
     t_from: float
     t_to: float
-
-
-def _step_rng(seed: int, trajectory: int, step: int) -> np.random.Generator:
-    # Philox is counter based; one fresh instance per (trajectory, step) keeps
-    # draws independent of evaluation order across workers
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence([int(seed), int(trajectory), int(step)])))
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,10 @@ class NoiseModel1D:
         basis[:, grid <= x_left] = 0.0
         basis[:, grid >= x_right] = 0.0
         return cls(x_left, x_right, modes, seed, grid, basis)
+
+    @property
+    def mode_shape(self) -> tuple:
+        return (self.modes,)
 
     def trajectory(self, index: int) -> "TrajectoryNoise":
         return TrajectoryNoise(self, index)
@@ -106,38 +110,92 @@ class NoiseModel2D:
         return cls(x_left, x_right, y_left, y_right, modes_x, modes_y, seed,
                    gx, gy, bx, by, amp)
 
+    @property
+    def mode_shape(self) -> tuple:
+        return (self.modes_x, self.modes_y)
+
     def trajectory(self, index: int) -> "TrajectoryNoise":
         return TrajectoryNoise(self, index)
 
 
+def _check_dt(dt: float) -> None:
+    if dt <= 0:
+        raise ValueError(f"increment over non-positive interval dt={dt}")
+
+
 class TrajectoryNoise:
-    """Increment stream for one trajectory of one noise model."""
+    """Increment stream for one trajectory of one noise model.
+
+    Step k is row k % steps_per_chunk of chunk k // steps_per_chunk. The
+    stream keeps the last chunk it drew: its normals and, once asked for,
+    their grid projection.
+    """
 
     def __init__(self, model, trajectory: int):
         self.model = model
         self.trajectory = trajectory
+        self.steps_per_chunk = max(1, CHUNK_NORMALS // prod(model.mode_shape))
+        self._chunk = None
+        self._normals = None
+        self._values = None
+
+    def draw_chunk(self, chunk: int) -> np.ndarray:
+        """Standard normals of a chunk, (steps_per_chunk, *mode_shape).
+
+        Philox is counter based; one fresh instance per (trajectory, chunk)
+        keeps draws independent of evaluation order across workers.
+        """
+        key = np.random.SeedSequence(
+            [int(self.model.seed), int(self.trajectory), int(chunk)])
+        rng = np.random.Generator(np.random.Philox(key))
+        return rng.standard_normal((self.steps_per_chunk,
+                                    *self.model.mode_shape))
+
+    def _locate(self, step: int) -> tuple:
+        """(chunk, row) of a step."""
+        if step < 0:
+            raise ValueError(f"negative step {step}")
+        return divmod(step, self.steps_per_chunk)
+
+    def _load(self, chunk: int) -> np.ndarray:
+        """Normals of chunk, drawn unless it is the chunk held."""
+        if chunk != self._chunk:
+            self._normals = self.draw_chunk(chunk)
+            self._values = None
+            self._chunk = chunk
+        return self._normals
+
+    def chunk_values(self, chunk: int) -> np.ndarray:
+        """Grid projection of a chunk's normals, one row per step."""
+        normals = self._load(chunk)
+        if self._values is None:
+            self._values = self.values_from_modes(normals)
+        return self._values
 
     def mode_increments(self, step: int, dt: float) -> np.ndarray:
         """Per-mode Brownian increments over one step, N(0, dt) each."""
-        if dt <= 0:
-            raise ValueError(f"increment over non-positive interval dt={dt}")
-        rng = _step_rng(self.model.seed, self.trajectory, step)
-        m = self.model
-        if isinstance(m, NoiseModel2D):
-            return rng.normal(0.0, np.sqrt(dt), size=(m.modes_x, m.modes_y))
-        return rng.normal(0.0, np.sqrt(dt), size=m.modes)
+        _check_dt(dt)
+        chunk, row = self._locate(step)
+        return np.sqrt(dt) * self._load(chunk)[row]
 
     def values_from_modes(self, xi: np.ndarray) -> np.ndarray:
+        """Grid values of mode values xi, or of a stack of them."""
         m = self.model
         if isinstance(m, NoiseModel2D):
             return m.bx.T @ (m.amp * xi) @ m.by
-        return m.basis.T @ xi
+        return xi @ m.basis
+
+    def grid_increments(self, step: int, dt: float) -> np.ndarray:
+        """Grid values of the Brownian increment of one step over dt."""
+        _check_dt(dt)
+        chunk, row = self._locate(step)
+        return np.sqrt(dt) * self.chunk_values(chunk)[row]
 
     def increment_at(self, step: int, t_from: float, t_to: float) -> WienerIncrement:
         if t_to <= t_from:
             raise ValueError(f"non-positive interval [{t_from}, {t_to}]")
-        xi = self.mode_increments(step, t_to - t_from)
-        return WienerIncrement(self.values_from_modes(xi), t_from, t_to)
+        return WienerIncrement(self.grid_increments(step, t_to - t_from),
+                               t_from, t_to)
 
 
 def draw_path(model: NoiseModel1D, trajectories, n_steps: int,
@@ -145,15 +203,19 @@ def draw_path(model: NoiseModel1D, trajectories, n_steps: int,
     """Grid increments of a block of trajectories over n_steps steps of dt.
 
     Returns an (n_steps, n, P) array for the P trajectories: row k holds
-    step k of every one, column j that of trajectories[j]. Each increment is
-    drawn and projected once, and only one draw's mode array is held.
+    step k of every one, column j that of trajectories[j]. Each chunk is
+    drawn and projected once, as grid_increments does, so row k equals
+    grid_increments(k, dt) bit for bit; only one chunk is held at a time.
     """
+    _check_dt(dt)
     path = np.empty((n_steps, model.grid.size, len(trajectories)))
+    scale = np.sqrt(dt)
     for j, p in enumerate(trajectories):
         stream = model.trajectory(p)
-        for k in range(n_steps):
-            path[k, :, j] = stream.values_from_modes(
-                stream.mode_increments(k, dt))
+        size = stream.steps_per_chunk
+        for start in range(0, n_steps, size):
+            rows = stream.chunk_values(start // size)[:n_steps - start]
+            path[start:start + size, :, j] = scale * rows
     return path
 
 
@@ -180,7 +242,12 @@ class ReplayNoise:
     def __init__(self, path: np.ndarray):
         self.path = path
 
+    def grid_increments(self, step: int, dt: float) -> np.ndarray:
+        _check_dt(dt)
+        return self.path[step]
+
     def increment_at(self, step: int, t_from: float, t_to: float) -> WienerIncrement:
         if t_to <= t_from:
             raise ValueError(f"non-positive interval [{t_from}, {t_to}]")
-        return WienerIncrement(self.path[step], t_from, t_to)
+        return WienerIncrement(self.grid_increments(step, t_to - t_from),
+                               t_from, t_to)

@@ -8,6 +8,7 @@ across an axis are set just before that axis's solve. In 1D a block of
 trajectories can be stepped as the columns of one state.
 """
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -40,13 +41,25 @@ class ProblemSpec:
 
 
 class StepFailure(RuntimeError):
-    """A linear solve failed mid-run; carries the step index and time."""
+    """A linear solve failed mid-run.
 
-    def __init__(self, message: str, step: int, time: float, residual: float):
+    Carries the step index, its start time, the solver's residual and the
+    state_sha256 of the state that entered the step, so the step can be
+    replayed and checked against it.
+    """
+
+    def __init__(self, message: str, step: int, time: float, residual: float,
+                 state_sha256: str | None = None):
         super().__init__(message)
         self.step = step
         self.time = time
         self.residual = residual
+        self.state_sha256 = state_sha256
+
+
+def state_sha256(values: np.ndarray) -> str:
+    """sha256 of an array's C-order bytes."""
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
 
 
 def nonlinear_flow(values: np.ndarray, tau: float, lam: float, eps: float,
@@ -126,7 +139,7 @@ def odds_step_2d(values: np.ndarray, t: float, tau: float,
 
 @dataclass
 class RunOptions:
-    noise: object | None = None          # trajectory noise source, eps != 0
+    noise: object | None = None  # grid_increments(step, dt) source, eps != 0
     solver: SolverOptions = field(default_factory=SolverOptions)
     snapshot_steps: tuple[int, ...] = ()
     record_invariants: bool = True
@@ -166,7 +179,8 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
 
     Raises:
         StepFailure: a linear solve did not reach tolerance mid-run; a NaN
-            or inf in the state fails the solve of the step it enters.
+            or inf in the state fails the solve of the step it enters. It
+            carries the sha256 of the state that entered the failed step.
         ValueError: inconsistent shapes, missing noise, bad snapshot
             indices, invariant_stride < 1, or invariants asked of a block.
     """
@@ -220,7 +234,7 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
     for k in range(n_steps):
         dw = None
         if problem.eps != 0.0:
-            dw = options.noise.increment_at(k, t, t + tau).values
+            dw = options.noise.grid_increments(k, tau)
             if dw.shape != values.shape:
                 raise ValueError(f"noise increment shape {dw.shape} at step "
                                  f"{k}, state shape {values.shape}")
@@ -230,7 +244,8 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
         except KrylovError as err:
             raise StepFailure(
                 f"linear solve failed at step {k} (t = {t:.6g}): {err}",
-                step=k, time=t, residual=err.residual) from err
+                step=k, time=t, residual=err.residual,
+                state_sha256=state_sha256(values)) from err
         t = t0 + (k + 1) * tau
         if (k + 1) in wanted:
             snapshots[k + 1] = values.copy()

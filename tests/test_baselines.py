@@ -10,7 +10,7 @@ from odds_nls.config import apply_overrides, builtin_configs
 from odds_nls.experiments import soliton_datum
 from odds_nls.linalg import SolverOptions
 from odds_nls.noise import NoiseModel1D, NoiseModel2D
-from odds_nls.stepper import StepFailure
+from odds_nls.stepper import StepFailure, state_sha256
 
 TIGHT = SolverOptions(residual_tol=1e-11)
 
@@ -280,6 +280,20 @@ class TestDriver:
         size = 2 * 19 ** dimension
         assert calls == [(size, size), (size, size)]
 
+    def test_increments_are_drawn_over_exactly_tau(self):
+        grid = uniform_grid_1d(-2.0, 2.0, 9)
+        dts = []
+
+        class Recorder:
+            def grid_increments(self, step, dt):
+                dts.append(dt)
+                return np.zeros(grid.nodes.size)
+
+        m = FDSCN1D(grid, 0.001, 1.0, 0.1)
+        run_uniform_trajectory(m, np.zeros(grid.nodes.size, complex), 300,
+                               noise=Recorder(), t0=0.3)
+        assert dts == [0.001] * 300
+
     def test_noisy_run_reproducible(self):
         grid = uniform_grid_1d(-2.0, 2.0, 21)
         model = NoiseModel1D.build(-2.0, 2.0, grid.nodes, modes=20, seed=3)
@@ -309,6 +323,7 @@ class TestDriver:
         assert info.value.residual > 0
         assert "SMM1D" in str(info.value) and "step 0" in str(info.value)
         assert "t = 0.5" in str(info.value)
+        assert info.value.state_sha256 == state_sha256(u0)
 
     def test_runaway_fixed_point_fails_fast(self):
         # SMM's update grows 3.4 -> 284 in the first step of this efficiency

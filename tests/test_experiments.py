@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,9 +21,10 @@ from odds_nls.experiments import (RunResult, cells, collision_datum,
                                   gaussian_datum, run_experiment,
                                   soliton_datum, write_csv)
 from odds_nls.mesh import build_mesh
-from odds_nls.noise import TrajectoryNoise
+from odds_nls.noise import CHUNK_NORMALS, TrajectoryNoise
 from odds_nls.observables import trapezoid_weights
-from odds_nls.stepper import StepFailure
+from odds_nls.linalg import SolverOptions
+from odds_nls.stepper import RunOptions, StepFailure, state_sha256
 
 
 def tiny_soliton(tmp_path, **extra):
@@ -141,6 +143,25 @@ class TestSolitonRunner:
         mpath = [p for p in result.paths if p.endswith("manifest.json")][0]
         with open(mpath) as fh:
             assert json.load(fh) == man
+
+    def test_failure_record_replays_its_step(self, tmp_path, monkeypatch):
+        # an unsolvable tolerance fails each trajectory at step 0; its
+        # record names the seed and the hash of the state that entered it
+        hopeless = SolverOptions(residual_tol=1e-30, max_krylov=4,
+                                 max_restarts=2)
+        monkeypatch.setattr(experiments, "RunOptions",
+                            partial(RunOptions, solver=hopeless))
+        cfg = tiny_soliton(tmp_path, seed=5)
+        result = run_experiment(cfg, workers=1)
+        u0 = soliton_datum(build_mesh(-10.0, 10.0, 3, 8).nodes)
+        u0[[0, -1]] = 0.0
+        records = result.manifest["failures"]
+        assert [r["trajectory"] for r in records] == [0, 1]
+        for record in records:
+            assert record["seed"] == 5
+            assert (record["step"], record["time"]) == (0, 0.0)
+            assert record["state_sha256"] == state_sha256(u0)
+            assert "step 0" in record["error"]
 
     def test_csv_headers_carry_units(self, tmp_path):
         cfg = tiny_soliton(tmp_path)
@@ -264,22 +285,32 @@ class TestOtherRunners:
 
     def test_convergence_draws_each_fine_increment_once(self, tmp_path,
                                                         monkeypatch):
-        # the reference run and every ladder level share one set of draws
-        draws = []
-        real_draw = TrajectoryNoise.mode_increments
+        # the reference run and every ladder level share one set of draws:
+        # each (trajectory, chunk) is drawn and projected exactly once
+        draws, projections = [], []
+        real_draw = TrajectoryNoise.draw_chunk
+        real_project = TrajectoryNoise.values_from_modes
 
-        def counting(self, step, dt):
-            draws.append((self.trajectory, step))
-            return real_draw(self, step, dt)
+        def counting(self, chunk):
+            draws.append((self.trajectory, chunk))
+            return real_draw(self, chunk)
 
-        monkeypatch.setattr(TrajectoryNoise, "mode_increments", counting)
+        def projecting(self, xi):
+            projections.append(self.trajectory)
+            return real_project(self, xi)
+
+        monkeypatch.setattr(TrajectoryNoise, "draw_chunk", counting)
+        monkeypatch.setattr(TrajectoryNoise, "values_from_modes", projecting)
+        # 2048 modes make chunks of 4 steps: 4 chunks of the 16 fine steps
         cfg = from_mapping({"kind": "convergence", "elements": 2, "degree": 6,
-                            "modes": 20, "trajectories": 2,
+                            "modes": 2048, "trajectories": 2,
                             "tau_ladder": [2.0 ** -4, 2.0 ** -5],
                             "tau_ref": 2.0 ** -6, "tau": 2.0 ** -6,
                             "t_final": 0.25, "output_dir": str(tmp_path)})
+        assert CHUNK_NORMALS // cfg.modes == 4
         run_experiment(cfg, workers=1)
-        assert sorted(draws) == [(p, k) for p in range(2) for k in range(16)]
+        assert sorted(draws) == [(p, c) for p in range(2) for c in range(4)]
+        assert sorted(projections) == [p for p in range(2) for _ in range(4)]
 
     def test_convergence_blocks_do_not_depend_on_workers(self, tmp_path):
         # 17 trajectories make two blocks, of 16 and 1; a block is cut by

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from odds_nls.noise import (NoiseModel1D, NoiseModel2D, ReplayNoise, coarsen,
-                            draw_path)
+from odds_nls.noise import (CHUNK_NORMALS, NoiseModel1D, NoiseModel2D,
+                            ReplayNoise, coarsen, draw_path)
 
 
 @pytest.fixture
@@ -69,6 +69,81 @@ def test_draw_order_does_not_matter(grid):
     five_fresh = model.trajectory(0).mode_increments(5, 0.1)
     np.testing.assert_array_equal(five_after, five_fresh)
     np.testing.assert_array_equal(late, model.trajectory(0).mode_increments(9, 0.1))
+
+
+@pytest.mark.parametrize("modes, rows", [(500, 16), (2048, 4), (8192, 1),
+                                         (9000, 1), (1, CHUNK_NORMALS)])
+def test_chunk_holds_about_8k_normals(grid, modes, rows):
+    model = NoiseModel1D.build(-1.0, 1.0, grid, modes=modes, seed=0)
+    assert model.trajectory(0).steps_per_chunk == rows
+
+
+def test_2d_chunk_rows_follow_the_mode_count():
+    g = np.linspace(0.0, 1.0, 5)
+    model = NoiseModel2D.build(0.0, 1.0, 0.0, 1.0, g, g, seed=0)
+    assert model.trajectory(0).steps_per_chunk == 2
+
+
+def test_steps_across_chunks_drawn_in_reverse_match_fresh_streams(grid):
+    # 2048 modes make chunks of R = 4 steps; R - 1, R and 2R + 3 sit in
+    # three chunks, each one loaded again on the way back
+    model = NoiseModel1D.build(-1.0, 1.0, grid, modes=2048, seed=6)
+    R = model.trajectory(0).steps_per_chunk
+    assert R == 4
+    steps = [R - 1, R, 2 * R + 3]
+    stream = model.trajectory(2)
+    back = {k: (stream.mode_increments(k, 0.01),
+                stream.increment_at(k, 0.0, 0.01).values)
+            for k in reversed(steps)}
+    for k in steps:
+        np.testing.assert_array_equal(
+            back[k][0], model.trajectory(2).mode_increments(k, 0.01))
+        np.testing.assert_array_equal(
+            back[k][1], model.trajectory(2).increment_at(k, 0.0, 0.01).values)
+
+
+def test_reused_stream_gives_the_bytes_of_a_fresh_one(grid):
+    model = NoiseModel1D.build(-1.0, 1.0, grid, modes=1000, seed=2)
+    stream = model.trajectory(1)
+    order = [0, 7, 8, 3, 17, 8, 0, 16, 3]
+    reused = [stream.grid_increments(k, 0.02).tobytes() for k in order]
+    fresh = [model.trajectory(1).grid_increments(k, 0.02).tobytes()
+             for k in order]
+    assert reused == fresh
+
+
+@pytest.mark.parametrize("n_steps", [1, 7, 9, 21])
+def test_path_rows_equal_increments_off_chunk_boundaries(grid, n_steps):
+    # chunks of 8 steps; the path's last chunk is cut short
+    model = NoiseModel1D.build(-1.0, 1.0, grid, modes=1000, seed=8)
+    assert n_steps % model.trajectory(0).steps_per_chunk
+    path = draw_path(model, [0, 5], n_steps, 0.003)
+    for j, p in enumerate([0, 5]):
+        stream = model.trajectory(p)
+        for k in range(n_steps):
+            np.testing.assert_array_equal(
+                path[k, :, j], stream.increment_at(k, 0.0, 0.003).values)
+
+
+def test_chunk_projection_matches_the_explicit_mode_sum(grid):
+    # one matrix product per chunk sums the modes in another order than a
+    # product per step; the two agree to rounding
+    model = NoiseModel1D.build(-1.0, 1.0, grid, modes=1000, seed=3)
+    stream = model.trajectory(0)
+    normals = stream.draw_chunk(2)
+    k = np.arange(1, 1001)
+    e = np.sin(np.outer(k, (grid + 1.0) * np.pi / 2.0))    # sqrt(2/L) = 1
+    want = (normals * k ** -1.5) @ e
+    got = stream.chunk_values(2)
+    np.testing.assert_allclose(got[:, 1:-1], want[:, 1:-1], rtol=1e-12,
+                               atol=1e-13)
+    np.testing.assert_array_equal(got[:, [0, -1]], 0.0)
+
+
+def test_rejects_a_negative_step(grid):
+    model = NoiseModel1D.build(-1.0, 1.0, grid, modes=2, seed=0)
+    with pytest.raises(ValueError):
+        model.trajectory(0).grid_increments(-1, 0.1)
 
 
 def test_trajectories_differ(grid):
@@ -174,6 +249,16 @@ class TestNoise2D:
         # interior only: the model zeroes boundary columns explicitly
         np.testing.assert_allclose(got[1:-1, 1:-1], want[1:-1, 1:-1],
                                    atol=1e-13)
+
+    def test_chunk_shape_and_boundary(self):
+        stream = self.model.trajectory(0)
+        chunk = stream.chunk_values(3)
+        assert chunk.shape == (stream.steps_per_chunk, 13, 9)
+        np.testing.assert_array_equal(chunk[:, [0, -1]], 0.0)
+        np.testing.assert_array_equal(chunk[:, :, [0, -1]], 0.0)
+        step = 3 * stream.steps_per_chunk + 1
+        np.testing.assert_array_equal(
+            stream.increment_at(step, 0.0, 0.25).values, 0.5 * chunk[1])
 
     def test_2d_determinism(self):
         a = self.model.trajectory(2).increment_at(3, 0.0, 0.1).values

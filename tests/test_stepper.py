@@ -6,7 +6,7 @@ from odds_nls.mesh import assemble_global, build_mesh
 from odds_nls.noise import NoiseModel1D, NoiseModel2D, ReplayNoise, draw_path
 from odds_nls.stepper import (ProblemSpec, RunOptions, StepFailure,
                               TrajectoryResult, nonlinear_flow, odds_step_1d,
-                              odds_step_2d, run_trajectory)
+                              odds_step_2d, run_trajectory, state_sha256)
 
 TIGHT = SolverOptions(residual_tol=1e-12)
 
@@ -143,6 +143,25 @@ class TestRunTrajectory:
         opts = RunOptions(noise=Boom(), record_invariants=False)
         run_trajectory(u0.copy(), mesh, problem, 0.01, 3, options=opts)
 
+    def test_increments_are_drawn_over_exactly_tau(self):
+        # (t + tau) - t is not tau for most t: from t0 = 0.3, each of these
+        # 1000 steps of 0.001 would ask for an interval rounded off tau
+        class Recorder:
+            def __init__(self, n):
+                self.dts, self.zero = [], np.zeros(n)
+
+            def grid_increments(self, step, dt):
+                self.dts.append(dt)
+                return self.zero
+
+        mesh = build_mesh(-1.0, 1.0, 1, 4)
+        noise = Recorder(mesh.n_nodes)
+        opts = RunOptions(noise=noise, record_invariants=False)
+        run_trajectory(np.zeros(mesh.n_nodes, complex), mesh,
+                       ProblemSpec(eps=0.1), 0.001, 1000, t0=0.3,
+                       options=opts)
+        assert noise.dts == [0.001] * 1000
+
     def test_noisy_run_is_reproducible_and_noise_dependent(self):
         mesh = build_mesh(-1.0, 1.0, 2, 8)
         u0 = np.sin(np.pi * mesh.nodes) + 0j
@@ -179,6 +198,38 @@ class TestRunTrajectory:
         assert info.value.step == 0
         assert info.value.time == pytest.approx(0.0)
         assert info.value.residual > 0
+
+    def test_step_failure_carries_the_entering_state_hash(self):
+        # the unsolvable tolerance of the test above fails step 0, so the
+        # state that entered it is u0
+        mesh = build_mesh(-1.0, 1.0, 4, 10)
+        u0 = np.sin(np.pi * mesh.nodes) + 0j
+        hopeless = SolverOptions(residual_tol=1e-30, max_krylov=4,
+                                 max_restarts=2)
+        opts = RunOptions(solver=hopeless, record_invariants=False)
+        with pytest.raises(StepFailure) as info:
+            run_trajectory(u0.copy(), mesh, ProblemSpec(), 0.01, 3,
+                           options=opts)
+        assert info.value.state_sha256 == state_sha256(u0)
+        assert info.value.state_sha256 != state_sha256(u0.real)
+
+    def test_later_failure_hashes_the_state_of_its_step(self):
+        # a NaN increment at step 3 fails that step's solve; the state that
+        # entered it is the final state of a clean run of three steps
+        mesh = build_mesh(-1.0, 1.0, 4, 10)
+        u0 = np.sin(np.pi * mesh.nodes) + 0j
+        problem = ProblemSpec(lam=1.0, eps=0.3)
+        path = 0.1 * np.random.default_rng(3).standard_normal(
+            (5, mesh.n_nodes))
+        path[:, [0, -1]] = 0.0
+        clean = run_trajectory(u0, mesh, problem, 0.01, 3, options=RunOptions(
+            noise=ReplayNoise(path), record_invariants=False))
+        path[3, 6] = np.nan
+        opts = RunOptions(noise=ReplayNoise(path), record_invariants=False)
+        with pytest.raises(StepFailure) as info:
+            run_trajectory(u0, mesh, problem, 0.01, 5, options=opts)
+        assert info.value.step == 3
+        assert info.value.state_sha256 == state_sha256(clean.state.values)
 
     def test_nan_state_fails_at_step_zero(self):
         # a NaN must fail the first solve's residual check at once, not
