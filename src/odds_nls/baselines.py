@@ -15,9 +15,10 @@ Dirichlet data:
 Each scheme has one step for one or two axes; on two axes it is the
 tensor form of the same step, so SMM2D and FDSCN2D only build the tensor
 operators. Both resolve their implicit stage by fixed-point iteration.
-The linear part is constant, so each scheme solves it with one LU factor
-(LUSolver, as the collocation stepper does), built on the first step and
-reused by every iteration of every later step.
+The linear part S + i theta tau L is constant, so each scheme solves it in
+complex form with one LU factor (LUSolver, as the collocation stepper
+does), built on the first step and reused by every iteration of every later
+step.
 """
 
 import functools
@@ -29,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import (KrylovError, LUSolver, SolverOptions, stack_real,
-                     unstack_real)
+from .linalg import KrylovError, LUSolver, SolverOptions
 from .stepper import StepFailure, state_sha256
 
 FP_TOL = 1e-12
@@ -68,14 +68,6 @@ def averaging_1d(n_interior: int) -> sp.csr_matrix:
     return sp.diags([off, main, off], (-1, 0, 1), format="csr")
 
 
-def implicit_pair(S: sp.spmatrix, A: sp.spmatrix) -> sp.csr_matrix:
-    """Real block form of (S + iA)v = r for stacked unknowns [Im v; Re v].
-
-    The matching right-hand side is stack_real(r).
-    """
-    return sp.bmat([[S, A], [-A, S]], format="csr")
-
-
 class FixedPointError(RuntimeError):
     """A fixed point missed its tolerance; residual is its last update."""
 
@@ -86,7 +78,7 @@ class FixedPointError(RuntimeError):
 
 def _fixed_point(apply_rhs, lu: LUSolver, v0, opts, label: str
                  ) -> np.ndarray:
-    """Iterate v <- G^{-1} rhs(v) until the max-norm update stalls below tol.
+    """Iterate v <- A^{-1} rhs(v) until the max-norm update stalls below tol.
 
     An update that is not finite, or that grows while still above tol,
     means the iteration runs away: it raises FixedPointError at once.
@@ -94,7 +86,7 @@ def _fixed_point(apply_rhs, lu: LUSolver, v0, opts, label: str
     v = v0
     last = math.inf
     for _ in range(FP_MAXITER):
-        v_new = unstack_real(lu.solve(stack_real(apply_rhs(v)), opts))
+        v_new = lu.solve(apply_rhs(v), opts)
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
         if delta <= FP_TOL * max(1.0, float(np.max(np.abs(v_new)))):
@@ -157,10 +149,10 @@ def _tensor_operators(grids, averaged: bool):
 class _UniformScheme:
     """Parameters and constant implicit matrix of a reference scheme.
 
-    G is the real form of S + i theta tau L, with S and L from
+    lu solves with A = S + i theta tau L, with S and L from
     _tensor_operators on the scheme's grids: S is the averaging weight when
     averaged, else the identity. The step works on the interior of a field
-    of one or two axes, flattened in C order to solve with G.
+    of one or two axes, flattened in C order to solve with A.
     """
 
     averaged: bool
@@ -175,8 +167,7 @@ class _UniformScheme:
         self.eps = eps
         self.opts = opts or SolverOptions()
         self.S, self.L = _tensor_operators(grids, self.averaged)
-        self.G = implicit_pair(self.S, self.theta * tau * self.L)
-        self.lu = LUSolver(self.G)
+        self.lu = LUSolver(self.S + 1j * self.theta * tau * self.L)
 
 
 class SMM1D(_UniformScheme):

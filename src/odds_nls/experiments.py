@@ -482,10 +482,10 @@ def _timed_run(config: ExperimentConfig, name: str, n_steps: int):
             run_trajectory(u0, tuple(axes), prob, config.tau, n_steps,
                            options=opts)
     else:
-        method = steppers[config.dimension - 1](*axes, config.tau, config.lam,
-                                                config.eps)
-
         def once(rep):
+            # built and factored in every repeat, as run_trajectory does
+            method = steppers[config.dimension - 1](
+                *axes, config.tau, config.lam, config.eps)
             run_uniform_trajectory(method, u0, n_steps,
                                    noise=model.trajectory(rep))
 

@@ -1,21 +1,22 @@
-"""Crank-Nicolson systems in stacked real form, and their linear solvers.
+"""Crank-Nicolson systems of the complex field, and their linear solvers.
 
-The linear half-step for i du = u_xx dt is written as G U = G' U^n + F,
-with U the stacked real vector [imag; real] of interior values of one line,
-or one such column per line for a block of lines that share the operator.
-B = D2[1:-1, 1:-1] is the interior block of the assembled second-derivative
-operator, and G and G' are the 2x2 block matrices
-[[-tau/2 B, I], [I, tau/2 B]] and [[tau/2 B, I], [I, -tau/2 B]]. Boundary
-data enters through an affine forcing term built from the two boundary
-columns D2[1:-1, [0, -1]].
+The linear half-step for i du = u_xx dt is A u^{n+1} = E u^n + f on the
+interior values of one line, or of a block of lines (one per column) that
+share the operator. With B = D2[1:-1, 1:-1], the interior block of the
+assembled second-derivative operator, A = I + i tau/2 B, E = I - i tau/2 B,
+and Dirichlet data enter as f = -i tau/2 D2[1:-1, [0, -1]] (bc^n + bc^{n+1}).
 
-The matrix depends only on the mesh and tau, so every time step solves it
-with one sparse LU factor (LUSolver), built on the first solve. One matvec
+A depends only on the mesh and tau, so every time step solves it with one
+complex sparse LU factor (LUSolver), built on the first solve. One matvec
 checks the factor's solution against the max-norm residual target
 (krylov_solve, krylov_solve_block for many right-hand sides); only a
 solution that misses it is refined by SciPy's restarted GMRES.
+
+CNSystem.G and G_explicit are A and E over the reals, acting on the stacked
+vector [imag; real] (stack_real); no solve uses them.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -59,7 +60,7 @@ def krylov_solve(G, b: np.ndarray, x0: np.ndarray | None = None,
     One matvec checks x0 (zero when None), which is returned when it meets
     the target. Otherwise SciPy's restarted GMRES refines it to a 2-norm
     residual of residual_tol, which bounds the max-norm. G needs only shape
-    and @.
+    and @. x keeps the dtype of x0, or of b when x0 is None.
 
     Raises KrylovError if the true residual misses the target after
     opts.max_restarts cycles, and at once if the residual of x0 is not
@@ -67,7 +68,7 @@ def krylov_solve(G, b: np.ndarray, x0: np.ndarray | None = None,
     """
     opts = opts or SolverOptions()
     n = b.shape[0]
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n, dtype=b.dtype) if x0 is None else np.array(x0)
     r = b - G @ x
     res = float(np.max(np.abs(r)))
     if res <= opts.residual_tol:
@@ -76,7 +77,7 @@ def krylov_solve(G, b: np.ndarray, x0: np.ndarray | None = None,
         raise KrylovError(f"residual {res} is not finite", residual=res)
 
     op = scipy.sparse.linalg.LinearOperator(G.shape, matvec=lambda v: G @ v,
-                                            dtype=float)
+                                            dtype=r.dtype)
     x, _ = scipy.sparse.linalg.gmres(op, b, x, rtol=0.0,
                                      atol=opts.residual_tol,
                                      restart=opts.max_krylov,
@@ -97,7 +98,7 @@ def krylov_solve_block(G, B: np.ndarray, X0: np.ndarray,
     miss opts.residual_tol go on to krylov_solve.
     """
     opts = opts or SolverOptions()
-    X = np.array(X0, dtype=float)
+    X = np.array(X0)
     res = np.max(np.abs(B - G @ X), axis=0)
     for j in np.flatnonzero(~(res <= opts.residual_tol)):
         X[:, j] = krylov_solve(G, B[:, j], X[:, j], opts)
@@ -111,13 +112,13 @@ class LUSolver:
     so building the owner costs no factorization.
     """
 
-    def __init__(self, G: sp.spmatrix):
-        self.G = G
+    def __init__(self, A: sp.spmatrix):
+        self.A = A
         self._lu = None
 
     def solve(self, b: np.ndarray, opts: SolverOptions | None = None
               ) -> np.ndarray:
-        """Solve G x = b for one line's b or every column of a block's b.
+        """Solve A x = b for one line's b or every column of a block's b.
 
         The factor's solution starts krylov_solve (krylov_solve_block for a
         block): one matvec checks its residual against opts.residual_tol, and
@@ -126,30 +127,35 @@ class LUSolver:
         is not finite (a NaN or inf in b).
         """
         if self._lu is None:
-            self._lu = scipy.sparse.linalg.splu(sp.csc_matrix(self.G))
+            self._lu = scipy.sparse.linalg.splu(sp.csc_matrix(self.A))
         x = self._lu.solve(b)
         if b.ndim == 1:
-            return krylov_solve(self.G, b, x, opts)
-        return krylov_solve_block(self.G, b, x, opts)
+            return krylov_solve(self.A, b, x, opts)
+        return krylov_solve_block(self.A, b, x, opts)
 
 
 @dataclass
 class CNSystem:
     """One mesh/step-size Crank-Nicolson system, reusable across time steps.
 
-    lu solves with G; its factor is built on the first step that needs it.
+    A and E are built from B and tau; lu solves with A, and its factor is
+    built on the first step that needs it.
     """
 
-    G: sp.csr_matrix
-    G_explicit: sp.csr_matrix
     B: sp.csr_matrix
     B_boundary: sp.csr_matrix   # (n_int, 2) couplings to the two end nodes
     tau: float
-    n_interior: int
+    n_interior: int = field(init=False)
+    A: sp.csr_matrix = field(init=False, repr=False, compare=False)
+    E: sp.csr_matrix = field(init=False, repr=False, compare=False)
     lu: LUSolver = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.lu = LUSolver(self.G)
+        self.n_interior = self.B.shape[0]
+        eye = sp.identity(self.n_interior, format="csr")
+        self.A = eye + 0.5j * self.tau * self.B
+        self.E = eye - 0.5j * self.tau * self.B
+        self.lu = LUSolver(self.A)
 
     def boundary_forcing(self, bc_old, bc_new) -> np.ndarray:
         """Affine term produced by Dirichlet data at t_n and t_{n+1}.
@@ -158,26 +164,32 @@ class CNSystem:
         (2, m) array of them for m lines; the term is then one column per
         line.
         """
-        total = np.asarray(bc_new, dtype=complex) + np.asarray(bc_old)
-        half = self.tau / 2.0
-        return np.concatenate([half * (self.B_boundary @ total.imag),
-                               -half * (self.B_boundary @ total.real)])
+        return -0.5j * self.tau * (self.B_boundary @ np.add(bc_old, bc_new))
+
+    @functools.cached_property
+    def G(self) -> sp.csr_matrix:
+        """A over the reals, [[-tau/2 B, I], [I, tau/2 B]] on [imag; real]."""
+        return self._stacked(-self.tau / 2.0)
+
+    @functools.cached_property
+    def G_explicit(self) -> sp.csr_matrix:
+        """E over the reals, [[tau/2 B, I], [I, -tau/2 B]] on [imag; real]."""
+        return self._stacked(self.tau / 2.0)
+
+    def _stacked(self, half: float) -> sp.csr_matrix:
+        eye = sp.identity(self.n_interior, format="csr")
+        return sp.bmat([[half * self.B, eye], [eye, -half * self.B]],
+                       format="csr")
 
 
 def build_cn_system(mesh: OverlapMesh1D, tau: float) -> CNSystem:
     """Assemble the CN system for one mesh and step size.
 
-    G and G' are built from slices of the assembled operator; like it, they
-    store no zeros.
+    B and B_boundary are slices of the assembled operator; like it, they and
+    the matrices built from them store no zeros.
     """
     D2 = assemble_global(mesh, 2)
-    B = D2[1:-1, 1:-1]
-    half = tau / 2.0
-    eye = sp.identity(B.shape[0], format="csr")
-    G = sp.bmat([[-half * B, eye], [eye, half * B]], format="csr")
-    Gp = sp.bmat([[half * B, eye], [eye, -half * B]], format="csr")
-    return CNSystem(G=G, G_explicit=Gp, B=B, B_boundary=D2[1:-1, [0, -1]],
-                    tau=tau, n_interior=B.shape[0])
+    return CNSystem(B=D2[1:-1, 1:-1], B_boundary=D2[1:-1, [0, -1]], tau=tau)
 
 
 def stack_real(u: np.ndarray) -> np.ndarray:
@@ -199,21 +211,17 @@ def cn_step_linear(system: CNSystem, u: np.ndarray,
     u is one full-grid complex line (n,) or a block (n, m) of m lines. The
     two end rows of the returned array are set to bc_new, the (left, right)
     values of one line or a (2, m) array of them, or kept when no new
-    boundary data is supplied. forcing is the stacked real affine term of
-    the boundary data (CNSystem.boundary_forcing), one column per line of a
-    block; the scalar 0.0, the default, is the zero forcing of homogeneous
-    data for a line or a block. Interior values are solved from the stacked
-    real system with the system's LU factor, all lines of a block at once.
+    boundary data is supplied. forcing is the affine term of the boundary
+    data (CNSystem.boundary_forcing), one column per line of a block; the
+    scalar 0.0, the default, is the zero forcing of homogeneous data for a
+    line or a block. Interior values are solved with the system's LU
+    factor, all lines of a block at once.
 
     Raises KrylovError when neither the LU solution nor its GMRES
     refinement meets opts.residual_tol, and at once for a NaN or inf in u.
     """
-    U = stack_real(u[1:-1])
-    sol = system.lu.solve(system.G_explicit @ U + forcing, opts)
-    out = np.empty_like(u)
-    out[1:-1] = unstack_real(sol)
-    if bc_new is None:
-        out[0], out[-1] = u[0], u[-1]
-    else:
+    out = u.copy()
+    out[1:-1] = system.lu.solve(system.E @ u[1:-1] + forcing, opts)
+    if bc_new is not None:
         out[0], out[-1] = bc_new
     return out

@@ -205,6 +205,22 @@ class TestImplicitEquations:
             np.abs(un) ** 2 + np.abs(star) ** 2) * mid
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
+    def test_implicit_matrix_solves_like_dense(self, case):
+        # the constant complex matrix each scheme factors: S + i tau L for
+        # SMM, I + i tau/2 L for FDSCN
+        grids, schemes, _, _, tau, lam, eps = case
+        rng = np.random.default_rng(14)
+        for cls, averaged, theta in zip(schemes, (True, False), (1.0, 0.5)):
+            m = cls(*grids, tau, lam, eps)
+            S = m.S.toarray() if averaged else np.eye(m.S.shape[0])
+            dense = S + 1j * theta * tau * m.L.toarray()
+            r = (rng.standard_normal(dense.shape[0])
+                 + 1j * rng.standard_normal(dense.shape[0]))
+            want = np.linalg.solve(dense, r)
+            got = m.lu.solve(r)
+            assert got.dtype == complex
+            assert np.max(np.abs(got - want)) < 1e-12, cls.__name__
+
 
 class TestUniform2D:
     def setup_method(self):
@@ -277,7 +293,7 @@ class TestDriver:
         assert calls == []                  # constructors do not factor
         for m in schemes:
             run_uniform_trajectory(m, u0, 3)
-        size = 2 * 19 ** dimension
+        size = 19 ** dimension
         assert calls == [(size, size), (size, size)]
 
     def test_increments_are_drawn_over_exactly_tau(self):

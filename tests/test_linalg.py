@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from odds_nls.linalg import (CNSystem, KrylovError, LUSolver, SolverOptions,
+from odds_nls.linalg import (KrylovError, LUSolver, SolverOptions,
                              build_cn_system, cn_step_linear, krylov_solve,
                              krylov_solve_block, stack_real, unstack_real)
 from odds_nls.mesh import assemble_global, build_mesh
@@ -89,7 +89,8 @@ class TestLUSolver:
         u = np.sin(np.pi * mesh.nodes) + 0j
         for _ in range(4):
             u = cn_step_linear(system, u)
-        assert splu_calls == [system.G.shape]
+        n = system.n_interior
+        assert splu_calls == [(n, n)]
 
     def test_many_columns_match_single_solves(self):
         rng = np.random.default_rng(9)
@@ -164,24 +165,29 @@ class TestResidualCheck:
             out[:, 2], krylov_solve(self.A, self.B[:, 2], x0=X0[:, 2]))
 
     def test_refines_a_missed_start_on_a_cn_system(self):
+        # a complex start is refined in complex arithmetic, imaginary part
+        # included
         system = build_cn_system(build_mesh(-1.0, 1.0, 4, 8), 0.01)
+        A = system.A
         rng = np.random.default_rng(12)
-        b = rng.standard_normal(system.G.shape[0])
-        x0 = system.lu.solve(b) + 1e-3
-        G = MatvecCount(system.G)
+        b = (rng.standard_normal(system.n_interior)
+             + 1j * rng.standard_normal(system.n_interior))
+        x0 = system.lu.solve(b) + (1.0 + 1.0j) * 1e-3
+        G = MatvecCount(A)
         tol = SolverOptions().residual_tol
-        assert np.max(np.abs(b - system.G @ x0)) > tol
+        assert np.max(np.abs(b - A @ x0)) > tol
         x = krylov_solve(G, b, x0=x0)
-        assert np.max(np.abs(b - system.G @ x)) <= tol
+        assert x.dtype == complex
+        assert np.max(np.abs(b - A @ x)) <= tol
         assert G.count > 2      # the check, GMRES's products, the check
         hopeless = SolverOptions(residual_tol=1e-30, max_krylov=4,
                                  max_restarts=2)
         with pytest.raises(KrylovError) as info:
             krylov_solve(G, b, x0=x0, opts=hopeless)
-        last, _ = scipy.sparse.linalg.gmres(system.G, b, x0, rtol=0.0,
+        last, _ = scipy.sparse.linalg.gmres(A, b, x0, rtol=0.0,
                                             atol=1e-30, restart=4, maxiter=2)
-        assert info.value.residual == np.max(np.abs(b - system.G @ last))
-        assert 0 < info.value.residual < np.max(np.abs(b - system.G @ x0))
+        assert info.value.residual == np.max(np.abs(b - A @ last))
+        assert 0 < info.value.residual < np.max(np.abs(b - A @ x0))
 
     def test_non_finite_start_fails_after_one_matvec(self):
         G = MatvecCount(self.A)
@@ -207,24 +213,31 @@ class TestRealificationLayout:
     @pytest.mark.parametrize("shape", [(1, 8), (4, 8), (10, 30), (2, 5),
                                        (2, 16)])
     def test_kron_pair_equals_complex_cn_action(self, shape):
-        # the real system rows are ordered [real-equations; imag-equations],
-        # so G acting on [imag; real] lands on [Re lhs; Im lhs] of the
-        # complex operator (1 + i tau/2 B), and G' likewise for the rhs
+        # A and E act as the complex CN operators 1 +- i tau/2 B; the real
+        # system rows are ordered [real-equations; imag-equations], so G
+        # acting on [imag; real] lands on [Re lhs; Im lhs] of A's action,
+        # and G' likewise for E's
         M, J = shape
         tau = 0.01
         system = build_cn_system(build_mesh(-1.0, 1.0, M, J), tau)
         B, G, G_rhs = system.B, system.G, system.G_explicit
+        A, E = system.A, system.E
         n = B.shape[0]
-        # two scaled copies of B and two identity blocks, no stored zeros
-        # (M <= 2 meshes make B more than half full)
-        for matrix in (G, G_rhs, B, system.B_boundary):
+        # no stored zeros (M <= 2 meshes make B more than half full): G, G'
+        # hold two scaled copies of B and two identity blocks, A and E one
+        # of B with the identity added to its full diagonal
+        for matrix in (A, E, G, G_rhs, B, system.B_boundary):
             assert np.all(matrix.data != 0.0), shape
+        assert np.all(B.diagonal() != 0.0)
+        assert A.nnz == E.nnz == B.nnz
         assert G.nnz == G_rhs.nnz == 2 * B.nnz + 2 * n
         rng = np.random.default_rng(5)
         for _ in range(100):
             u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             lhs = u + 0.5j * tau * (B @ u)
             rhs = u - 0.5j * tau * (B @ u)
+            np.testing.assert_allclose(A @ u, lhs, rtol=1e-13, atol=1e-12)
+            np.testing.assert_allclose(E @ u, rhs, rtol=1e-13, atol=1e-12)
             np.testing.assert_allclose(G @ stack_real(u),
                                        np.concatenate([lhs.real, lhs.imag]),
                                        atol=1e-12)
@@ -267,9 +280,7 @@ class TestCNStep:
         mesh = build_mesh(-1.0, 1.0, 2, 10)
         tau = 0.01
         fwd = build_cn_system(mesh, tau)
-        bwd = CNSystem(G=fwd.G_explicit.copy(), G_explicit=fwd.G.copy(),
-                       B=fwd.B, B_boundary=fwd.B_boundary, tau=-tau,
-                       n_interior=fwd.n_interior)
+        bwd = build_cn_system(mesh, -tau)
         rng = np.random.default_rng(7)
         u = rng.standard_normal(mesh.n_nodes) + 1j * rng.standard_normal(mesh.n_nodes)
         u[0] = u[-1] = 0.0
@@ -336,7 +347,7 @@ class TestCNStep:
         rng = np.random.default_rng(13)
         for shape in [(mesh.n_nodes,), (mesh.n_nodes, 3)]:
             u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            zeros = np.zeros((2 * system.n_interior,) + shape[1:])
+            zeros = np.zeros((system.n_interior,) + shape[1:], complex)
             np.testing.assert_array_equal(
                 cn_step_linear(system, u),
                 cn_step_linear(system, u, forcing=zeros))
