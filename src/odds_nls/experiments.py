@@ -205,10 +205,30 @@ def _series(runs, name: str):
                cells(getattr(res, name))]
 
 
+def _n_steps(config: ExperimentConfig) -> int:
+    """Steps of config.tau taken to reach config.t_final, rounded."""
+    return round(config.t_final / config.tau)
+
+
 def _snapshot_steps(config: ExperimentConfig):
     steps = sorted({round(t / config.tau) for t in config.snapshot_times})
-    n_steps = round(config.t_final / config.tau)
+    n_steps = _n_steps(config)
     return tuple(s for s in steps if 0 <= s <= n_steps)
+
+
+def _time_grid(config: ExperimentConfig, snapshots: bool = True) -> dict:
+    """Manifest record of the times a run reaches on its step grid.
+
+    t_final need not be a whole number of steps: builtin soliton1d takes
+    667 steps of 0.015, which end at t = 10.005, not 10. The snapshot times
+    are those written, each step * tau.
+    """
+    n_steps = _n_steps(config)
+    grid = {"n_steps": n_steps, "realised_t_final": n_steps * config.tau}
+    if snapshots:
+        grid["realised_snapshot_times"] = [
+            step * config.tau for step in _snapshot_steps(config)]
+    return grid
 
 
 # ---------------------------------------------------------------------- set-up
@@ -275,7 +295,7 @@ def _trajectory_job(ctx, p):
                          invariant_stride=config.invariant_stride)
     try:
         res = run_trajectory(u0, mesh, ProblemSpec(config.lam, config.eps),
-                             config.tau, round(config.t_final / config.tau),
+                             config.tau, _n_steps(config),
                              options=options)
     except StepFailure as exc:
         return _failure(config, exc, trajectory=p)
@@ -323,7 +343,8 @@ def run_trajectories_1d(config: ExperimentConfig,
             ["time (time units)", "mean_energy (energy units)"],
             [[cells(runs[0][1].times), cells(energies.mean(axis=0))]]))
     stages = {"run": t_run, "write": time.perf_counter() - t0}
-    man = _manifest(config, trajectories, stages, paths, failures)
+    man = _manifest(config, trajectories, stages, paths, failures,
+                    extra=_time_grid(config))
     paths.append(_write_manifest(dirpath, man))
     return RunResult(man, paths)
 
@@ -338,7 +359,7 @@ def run_gaussian2d(config: ExperimentConfig, workers: int = 1) -> RunResult:
     runs = []
     failures = []
     stages = {}
-    n_steps = round(config.t_final / config.tau)
+    n_steps = _n_steps(config)
     for eps in eps_values:
         t0 = time.perf_counter()
         options = RunOptions(noise=model.trajectory(0) if eps else None,
@@ -382,7 +403,8 @@ def run_gaussian2d(config: ExperimentConfig, workers: int = 1) -> RunResult:
     ]
     stages["write"] = time.perf_counter() - t0
     man = _manifest(config, [0], stages, paths, failures,
-                    extra={"eps_sweep": list(eps_values)})
+                    extra={"eps_sweep": list(eps_values),
+                           **_time_grid(config)})
     paths.append(_write_manifest(dirpath, man))
     return RunResult(man, paths)
 
@@ -467,12 +489,19 @@ _SCHEMES = {
 }
 
 
-def _timed_run(config: ExperimentConfig, name: str, n_steps: int):
-    """(points per axis, run(rep)) of one scheme at config.dimension."""
+def _timed_run(config: ExperimentConfig, name: str, n_steps: int,
+               starts: dict):
+    """(points per axis, run(rep)) of one scheme at config.dimension.
+
+    starts holds the axes, initial field and noise model of each grid built
+    so far, keyed by its grid_axes; schemes on one grid share them.
+    """
     grid_axes, steppers = _SCHEMES[name]
-    axes = grid_axes(config, config.dimension)
-    datum = soliton_datum if config.dimension == 1 else gaussian_datum
-    u0, model = _start(config, datum, axes)
+    if grid_axes not in starts:
+        axes = grid_axes(config, config.dimension)
+        datum = soliton_datum if config.dimension == 1 else gaussian_datum
+        starts[grid_axes] = (axes, *_start(config, datum, axes))
+    axes, u0, model = starts[grid_axes]
     if steppers is None:
         prob = ProblemSpec(config.lam, config.eps)
 
@@ -495,8 +524,10 @@ def _timed_run(config: ExperimentConfig, name: str, n_steps: int):
 def run_efficiency(config: ExperimentConfig, workers: int = 1) -> RunResult:
     # wall-clock comparison: always serial, one scheme at a time
     del workers
-    n_steps = round(config.t_final / config.tau)
-    setups = [(name, *_timed_run(config, name, n_steps)) for name in _SCHEMES]
+    n_steps = _n_steps(config)
+    starts = {}
+    setups = [(name, *_timed_run(config, name, n_steps, starts))
+              for name in _SCHEMES]
     reps = range(config.repeats)
     rows = []
     medians = {}
@@ -523,7 +554,8 @@ def run_efficiency(config: ExperimentConfig, workers: int = 1) -> RunResult:
         [[cells(column) for column in zip(*rows)]])]
     stages["write"] = time.perf_counter() - t0
     man = _manifest(config, reps, stages, paths, [],
-                    extra={"medians": medians})
+                    extra={"medians": medians,
+                           **_time_grid(config, snapshots=False)})
     paths.append(_write_manifest(dirpath, man))
     return RunResult(man, paths, data=medians)
 

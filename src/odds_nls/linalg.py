@@ -6,14 +6,19 @@ share the operator. With B = D2[1:-1, 1:-1], the interior block of the
 assembled second-derivative operator, A = I + i tau/2 B, E = I - i tau/2 B,
 and Dirichlet data enter as f = -i tau/2 D2[1:-1, [0, -1]] (bc^n + bc^{n+1}).
 
+Since E = 2I - A, the step solves A y = 2u^n + f and returns u^{n+1} =
+y - u^n: the two equations are the same, and so are their residuals,
+2u^n + f - A y = E u^n + f - A u^{n+1}. A step thus makes no product with E.
+
 A depends only on the mesh and tau, so every time step solves it with one
 complex sparse LU factor (LUSolver), built on the first solve. One matvec
 checks the factor's solution against the max-norm residual target
 (krylov_solve, krylov_solve_block for many right-hand sides); only a
 solution that misses it is refined by SciPy's restarted GMRES.
 
-CNSystem.G and G_explicit are A and E over the reals, acting on the stacked
-vector [imag; real] (stack_real); no solve uses them.
+CNSystem.E, and G and G_explicit, A and E over the reals acting on the
+stacked vector [imag; real] (stack_real), are built on request; no solve
+uses them.
 """
 
 import functools
@@ -94,13 +99,17 @@ def krylov_solve_block(G, B: np.ndarray, X0: np.ndarray,
                        opts: SolverOptions | None = None) -> np.ndarray:
     """krylov_solve for every column of B, from the matching column of X0.
 
-    One block product checks every column's residual; only the columns that
-    miss opts.residual_tol go on to krylov_solve.
+    One block product checks every column's residual, and one max over the
+    block settles the common case. Only then, when some column misses
+    opts.residual_tol (or is not finite), are the columns told apart, and
+    those that miss go on to krylov_solve.
     """
     opts = opts or SolverOptions()
     X = np.array(X0)
-    res = np.max(np.abs(B - G @ X), axis=0)
-    for j in np.flatnonzero(~(res <= opts.residual_tol)):
+    res = np.abs(B - G @ X)
+    if res.max(initial=0.0) <= opts.residual_tol:
+        return X
+    for j in np.flatnonzero(~(res.max(axis=0) <= opts.residual_tol)):
         X[:, j] = krylov_solve(G, B[:, j], X[:, j], opts)
     return X
 
@@ -109,11 +118,13 @@ class LUSolver:
     """Solves with one constant sparse matrix through its LU factor.
 
     The factor is computed on the first solve and reused by every later one,
-    so building the owner costs no factorization.
+    so building the owner costs no factorization. The matrix is kept as a
+    sparse array, whose @ dispatches faster than a sparse matrix's on the
+    same kernel.
     """
 
-    def __init__(self, A: sp.spmatrix):
-        self.A = A
+    def __init__(self, A: sp.spmatrix | sp.sparray):
+        self.A = sp.csr_array(A)
         self._lu = None
 
     def solve(self, b: np.ndarray, opts: SolverOptions | None = None
@@ -138,8 +149,8 @@ class LUSolver:
 class CNSystem:
     """One mesh/step-size Crank-Nicolson system, reusable across time steps.
 
-    A and E are built from B and tau; lu solves with A, and its factor is
-    built on the first step that needs it.
+    A is built from B and tau; lu solves with A, and its factor is built on
+    the first step that needs it. E, G and G_explicit are built on request.
     """
 
     B: sp.csr_matrix
@@ -147,14 +158,12 @@ class CNSystem:
     tau: float
     n_interior: int = field(init=False)
     A: sp.csr_matrix = field(init=False, repr=False, compare=False)
-    E: sp.csr_matrix = field(init=False, repr=False, compare=False)
     lu: LUSolver = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.n_interior = self.B.shape[0]
         eye = sp.identity(self.n_interior, format="csr")
         self.A = eye + 0.5j * self.tau * self.B
-        self.E = eye - 0.5j * self.tau * self.B
         self.lu = LUSolver(self.A)
 
     def boundary_forcing(self, bc_old, bc_new) -> np.ndarray:
@@ -165,6 +174,12 @@ class CNSystem:
         line.
         """
         return -0.5j * self.tau * (self.B_boundary @ np.add(bc_old, bc_new))
+
+    @functools.cached_property
+    def E(self) -> sp.csr_matrix:
+        """The explicit CN half, I - i tau/2 B; equal to 2I - A."""
+        eye = sp.identity(self.n_interior, format="csr")
+        return eye - 0.5j * self.tau * self.B
 
     @functools.cached_property
     def G(self) -> sp.csr_matrix:
@@ -215,13 +230,16 @@ def cn_step_linear(system: CNSystem, u: np.ndarray,
     data (CNSystem.boundary_forcing), one column per line of a block; the
     scalar 0.0, the default, is the zero forcing of homogeneous data for a
     line or a block. Interior values are solved with the system's LU
-    factor, all lines of a block at once.
+    factor, all lines of a block at once: it solves A y = 2u + forcing,
+    which is A x = E u + forcing for x = y - u, with the same residual.
 
     Raises KrylovError when neither the LU solution nor its GMRES
     refinement meets opts.residual_tol, and at once for a NaN or inf in u.
     """
+    inner = u[1:-1]
     out = u.copy()
-    out[1:-1] = system.lu.solve(system.E @ u[1:-1] + forcing, opts)
+    np.subtract(system.lu.solve(2.0 * inner + forcing, opts), inner,
+                out=out[1:-1])
     if bc_new is not None:
         out[0], out[-1] = bc_new
     return out

@@ -21,7 +21,8 @@ from odds_nls.experiments import (RunResult, cells, collision_datum,
                                   gaussian_datum, run_experiment,
                                   soliton_datum, write_csv)
 from odds_nls.mesh import build_mesh
-from odds_nls.noise import CHUNK_NORMALS, TrajectoryNoise
+from odds_nls.noise import (CHUNK_NORMALS, NoiseModel1D, NoiseModel2D,
+                            TrajectoryNoise)
 from odds_nls.observables import trapezoid_weights
 from odds_nls.linalg import SolverOptions
 from odds_nls.stepper import RunOptions, StepFailure, state_sha256
@@ -163,6 +164,27 @@ class TestSolitonRunner:
             assert record["state_sha256"] == state_sha256(u0)
             assert "step 0" in record["error"]
 
+    def test_manifest_records_the_realised_time_grid(self, tmp_path):
+        # 0.1 / 0.015 is not a whole number of steps: the run takes 7 and
+        # ends at 0.105, and snapshot 0.05 is written at step 3, t = 0.045
+        cfg = tiny_soliton(tmp_path, tau=0.015, t_final=0.1,
+                           snapshot_times=[0.0, 0.05, 0.1])
+        result = run_experiment(cfg, workers=1)
+        man = result.manifest
+        assert man["n_steps"] == 7
+        assert man["realised_t_final"] == 7 * 0.015
+        assert man["realised_snapshot_times"] == [0.0, 3 * 0.015, 7 * 0.015]
+        profiles = [p for p in result.paths if p.endswith("profiles.csv")][0]
+        with open(profiles) as fh:
+            written = {float(row[1]) for row in list(csv.reader(fh))[1:]}
+        assert written == set(man["realised_snapshot_times"])
+        # the builtin soliton1d horizon of 10 is reached at 10.005
+        grid = experiments._time_grid(builtin_configs()["soliton1d"])
+        assert grid["n_steps"] == 667
+        assert grid["realised_t_final"] == pytest.approx(10.005, abs=1e-12)
+        assert grid["realised_snapshot_times"][1:] == [
+            333 * 0.015, 667 * 0.015]
+
     def test_csv_headers_carry_units(self, tmp_path):
         cfg = tiny_soliton(tmp_path)
         result = run_experiment(cfg, workers=1)
@@ -216,6 +238,8 @@ class TestOtherRunners:
                             "output_dir": str(tmp_path)})
         result = run_experiment(cfg, workers=1)
         assert result.manifest["eps_sweep"] == [0.0, 1.0]
+        assert result.manifest["n_steps"] == 2
+        assert result.manifest["realised_snapshot_times"] == [0.0, 2 * 0.02]
         surf = [p for p in result.paths if p.endswith("surfaces.csv")][0]
         rows = np.genfromtxt(surf, delimiter=",", names=True,
                              deletechars="()")
@@ -374,6 +398,49 @@ class TestOtherRunners:
         assert result.manifest["per_trajectory_seeds"] == [[0, 0], [0, 1],
                                                            [0, 2]]
         assert "write" in result.manifest["stage_seconds"]
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_efficiency_schemes_on_one_grid_share_its_noise(
+            self, tmp_path, monkeypatch, dimension):
+        # SMM and FDSCN step the same uniform grid: one noise model serves
+        # both, and each repeat hands them equal increments
+        model_cls = NoiseModel1D if dimension == 1 else NoiseModel2D
+        built = []
+        real_build = model_cls.build
+
+        def counting_build(*args, **kwargs):
+            built.append(real_build(*args, **kwargs))
+            return built[-1]
+
+        drawn = {}
+        real_run = experiments.run_uniform_trajectory
+
+        def recording_run(method, u0, n_steps, noise=None):
+            drawn.setdefault(type(method).__name__[:-2], []).append(
+                np.array([noise.grid_increments(k, method.tau)
+                          for k in range(n_steps)]))
+            return real_run(method, u0, n_steps, noise=noise)
+
+        monkeypatch.setattr(model_cls, "build", counting_build)
+        monkeypatch.setattr(experiments, "run_uniform_trajectory",
+                            recording_run)
+        cfg = from_mapping({"kind": "efficiency", "dimension": dimension,
+                            "x_left": -5.0, "x_right": 5.0, "y_left": -4.0,
+                            "y_right": 4.0, "elements": 2, "degree": 6,
+                            "elements_y": 2, "degree_y": 5, "modes": 10,
+                            "modes_y": 10, "uniform_points": 11, "tau": 0.02,
+                            "t_final": 0.06, "repeats": 3, "eps": 0.5,
+                            "output_dir": str(tmp_path)})
+        result = run_experiment(cfg, workers=1)
+        assert len(built) == 2          # the odds mesh and the uniform grid
+        assert set(drawn) == {"SMM", "FDSCN"}
+        for smm, fdscn in zip(drawn["SMM"], drawn["FDSCN"], strict=True):
+            assert smm.shape == (3,) + (11,) * dimension
+            np.testing.assert_array_equal(smm, fdscn)
+        assert len(drawn["SMM"]) == 3
+        assert not np.array_equal(*drawn["SMM"][:2])    # repeats differ
+        assert result.manifest["n_steps"] == 3
+        assert "realised_snapshot_times" not in result.manifest
 
     def test_gaussian2d_manifest_lists_the_one_trajectory_drawn(self,
                                                                 tmp_path):

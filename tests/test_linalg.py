@@ -3,10 +3,12 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
+import odds_nls.stepper as stepper
 from odds_nls.linalg import (KrylovError, LUSolver, SolverOptions,
                              build_cn_system, cn_step_linear, krylov_solve,
                              krylov_solve_block, stack_real, unstack_real)
 from odds_nls.mesh import assemble_global, build_mesh
+from odds_nls.stepper import ProblemSpec, RunOptions, run_trajectory
 
 
 class TestKrylovSolve:
@@ -126,16 +128,19 @@ class TestLUSolver:
 class MatvecCount:
     """A matrix that counts its products with vectors, one per column.
 
-    It has only a shape and @, as a tracing proxy of a solver matrix has.
+    It has only a shape and @, as a tracing proxy of a solver matrix has;
+    products counts the @ calls, a block's as one.
     """
 
     def __init__(self, A):
         self.A = A
         self.shape = A.shape
         self.count = 0
+        self.products = 0
 
     def __matmul__(self, x):
         self.count += 1 if np.ndim(x) == 1 else x.shape[1]
+        self.products += 1
         return self.A @ x
 
 
@@ -156,13 +161,19 @@ class TestResidualCheck:
         assert G.count == 1 + self.B.shape[1]
 
     def test_block_refines_only_the_columns_that_miss(self):
+        # the block check settles every column but the perturbed one, which
+        # costs what its own krylov_solve costs on top
+        G = MatvecCount(self.A)
         X0 = self.X.copy()
         X0[:, 2] += 1.0
-        out = krylov_solve_block(self.A, self.B, X0)
+        out = krylov_solve_block(G, self.B, X0)
         np.testing.assert_array_equal(np.delete(out, 2, axis=1),
                                       np.delete(self.X, 2, axis=1))
+        alone = MatvecCount(self.A)
         np.testing.assert_array_equal(
-            out[:, 2], krylov_solve(self.A, self.B[:, 2], x0=X0[:, 2]))
+            out[:, 2], krylov_solve(alone, self.B[:, 2], x0=X0[:, 2]))
+        assert alone.count > 2
+        assert G.count == self.B.shape[1] + alone.count
 
     def test_refines_a_missed_start_on_a_cn_system(self):
         # a complex start is refined in complex arithmetic, imaginary part
@@ -198,6 +209,14 @@ class TestResidualCheck:
         assert not np.isfinite(info.value.residual)
         # the block check, then the failing column's own check; no cycle
         assert G.count == self.B.shape[1] + 1
+        # a NaN right-hand side fails the same way
+        G = MatvecCount(self.A)
+        B = self.B.copy()
+        B[3, 1] = np.nan
+        with pytest.raises(KrylovError) as info:
+            krylov_solve_block(G, B, self.X)
+        assert np.isnan(info.value.residual)
+        assert G.count == B.shape[1] + 1
 
 
 class TestRealificationLayout:
@@ -351,3 +370,69 @@ class TestCNStep:
             np.testing.assert_array_equal(
                 cn_step_linear(system, u),
                 cn_step_linear(system, u, forcing=zeros))
+
+
+class TestOneSolvePerStep:
+    """The step solves A y = 2u + f and returns y - u, which is the CN step.
+
+    It makes one product with A, the solve's residual check, and none with
+    E, which it never builds.
+    """
+
+    @staticmethod
+    def data(mesh, columns, seed):
+        rng = np.random.default_rng(seed)
+        shape = (mesh.n_nodes,) if columns is None else (mesh.n_nodes,
+                                                          columns)
+        ends = (2,) if columns is None else (2, columns)
+
+        def draw(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        return draw(shape), draw(ends), draw(ends)
+
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_matches_dense_solve_with_dirichlet_forcing(self, columns):
+        mesh = build_mesh(0.0, 1.0, 3, 7)
+        system = build_cn_system(mesh, 0.004)
+        u, bc_old, bc_new = self.data(mesh, columns, 14)
+        u[[0, -1]] = bc_old
+        forcing = system.boundary_forcing(bc_old, bc_new)
+        want = np.linalg.solve(system.A.toarray(),
+                               system.E.toarray() @ u[1:-1] + forcing)
+        got = cn_step_linear(system, u, forcing=forcing, bc_new=bc_new)
+        assert np.max(np.abs(got[1:-1] - want)) <= 1e-12 * np.max(np.abs(want))
+        np.testing.assert_array_equal(got[[0, -1]], bc_new)
+
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_one_product_with_a_and_none_with_e(self, columns):
+        mesh = build_mesh(-1.0, 1.0, 3, 8)
+        system = build_cn_system(mesh, 0.01)
+        u, bc_old, bc_new = self.data(mesh, columns, 15)
+        forcing = system.boundary_forcing(bc_old, bc_new)
+        cn_step_linear(system, u, forcing=forcing)      # factors A
+        counted = system.lu.A = MatvecCount(system.lu.A)
+        cn_step_linear(system, u, forcing=forcing, bc_new=bc_new)
+        assert counted.products == 1
+        assert counted.count == (1 if columns is None else columns)
+        assert "E" not in vars(system)
+
+    def test_trajectories_never_build_e(self, monkeypatch):
+        built = []
+
+        def keep(mesh, tau):
+            built.append(build_cn_system(mesh, tau))
+            return built[-1]
+
+        monkeypatch.setattr(stepper, "build_cn_system", keep)
+        mesh = build_mesh(-1.0, 1.0, 3, 8)
+        u0 = np.cos(0.5 * np.pi * mesh.nodes) + 0j
+
+        def boundary(t, x):
+            return np.exp(1j * t) * x
+
+        run_trajectory(u0, mesh, ProblemSpec(1.0, 0.0, boundary), 0.01, 3)
+        run_trajectory(np.outer(u0, u0), (mesh, mesh), ProblemSpec(), 0.01, 2,
+                       options=RunOptions(record_invariants=False))
+        assert len(built) == 3
+        assert not any("E" in vars(system) for system in built)
