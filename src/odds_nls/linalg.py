@@ -162,8 +162,7 @@ class CNSystem:
 
     def __post_init__(self):
         self.n_interior = self.B.shape[0]
-        eye = sp.identity(self.n_interior, format="csr")
-        self.A = eye + 0.5j * self.tau * self.B
+        self.A = _implicit_matrix(self.B, self.tau)
         self.lu = LUSolver(self.A)
 
     def boundary_forcing(self, bc_old, bc_new) -> np.ndarray:
@@ -197,14 +196,60 @@ class CNSystem:
                        format="csr")
 
 
+def _implicit_matrix(B: sp.csr_matrix, tau: float) -> sp.csr_matrix:
+    """A = I + i tau/2 B, bit for bit as sp.identity(n) + 0.5j * tau * B.
+
+    For a canonical B that stores its whole diagonal, that sparse sum keeps
+    B's pattern: each entry's imaginary part is tau/2 times B's entry, and
+    its real part is 1 on the diagonal and +0.0 elsewhere (the sum adds 1 or
+    0 to the product's real parts, which are +-0.0). A is formed so
+    directly, unless an entry comes to zero, which the sum would drop, or is
+    not finite; any other B is summed as sparse matrices.
+    """
+    n = B.shape[0]
+    diagonal = B.indices == np.repeat(np.arange(n), np.diff(B.indptr))
+    data = np.empty(B.nnz, dtype=complex)
+    data.real = diagonal
+    imag = np.multiply(B.data, 0.5 * tau, out=data.imag)
+    if (B.has_canonical_format and np.count_nonzero(diagonal) == n
+            and imag.all() and np.isfinite(imag).all()):
+        # A owns its index arrays, as the sum's would, so no in-place
+        # operation on one matrix reaches the other
+        return sp.csr_matrix((data, B.indices.copy(), B.indptr.copy()),
+                             shape=B.shape)
+    return sp.identity(n, format="csr") + 0.5j * tau * B
+
+
 def build_cn_system(mesh: OverlapMesh1D, tau: float) -> CNSystem:
     """Assemble the CN system for one mesh and step size.
 
-    B and B_boundary are slices of the assembled operator; like it, they and
-    the matrices built from them store no zeros.
+    B = D2[1:-1, 1:-1] and B_boundary = D2[1:-1, [0, -1]] are cut from the
+    assembled operator's arrays: its rows are sorted, so an interior row's
+    entry in column 0 is its first and one in column n - 1 its last. These
+    form B_boundary, and the rest of the interior rows' entries B. Like D2,
+    they and the matrices built from them store no zeros. Raises ValueError
+    unless tau is positive and finite.
     """
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     D2 = assemble_global(mesh, 2)
-    return CNSystem(B=D2[1:-1, 1:-1], B_boundary=D2[1:-1, [0, -1]], tau=tau)
+    n = D2.shape[0]
+    indptr, cols = D2.indptr, D2.indices
+    # each interior row's first and last entry, and which are end columns
+    ends = np.column_stack([indptr[1:-2], indptr[2:-1] - 1])
+    on_edge = cols[ends] == [0, n - 1]
+    edge = ends[on_edge]
+    edge_ptr = np.zeros(n - 1, dtype=indptr.dtype)
+    np.cumsum(on_edge.sum(axis=1), out=edge_ptr[1:])
+    B_boundary = sp.csr_matrix(
+        (D2.data[edge], np.nonzero(on_edge)[1].astype(cols.dtype), edge_ptr),
+        shape=(n - 2, 2))
+    keep = np.ones(indptr[-1], dtype=bool)
+    keep[:indptr[1]] = keep[indptr[-2]:] = keep[edge] = False
+    B = sp.csr_matrix((D2.data[keep], cols[keep] - 1,
+                       indptr[1:-1] - indptr[1] - edge_ptr),
+                      shape=(n - 2, n - 2))
+    return CNSystem(B=B, B_boundary=B_boundary, tau=tau)
 
 
 def stack_real(u: np.ndarray) -> np.ndarray:

@@ -8,11 +8,13 @@ do not depend on scheduling. Grid values are a chunk's normals pushed through
 a cached basis, whose columns vanish identically at the domain boundary, in
 one product per chunk; a step's increment over dt is sqrt(dt) times its row.
 The grid increments of a block of trajectories can be drawn once as one path,
-summed into coarser steps and replayed.
+summed into coarser steps and replayed. The sines of a basis come from a
+two-level table of angles (sine_table), about 2 sqrt(modes) rows of sines
+and cosines instead of modes rows of sines.
 """
 
 from dataclasses import dataclass
-from math import prod
+from math import isqrt, prod
 
 import numpy as np
 
@@ -26,6 +28,62 @@ class WienerIncrement:
     values: np.ndarray
     t_from: float
     t_to: float
+
+
+def sine_table(modes: int, theta: np.ndarray) -> np.ndarray:
+    """sin(k theta_j) for k = 1..modes, as a C-contiguous (modes, n) array.
+
+    Sines and cosines are evaluated only at the angles m theta of a
+    two-level table: the fine rows m = r < R and the coarse rows m = qR,
+    with R = isqrt(modes) + 1, so about 2 sqrt(modes) rows. The output is
+    then filled one block of rows k = qR + r at a time, for each coarse row,
+    as sin(qR theta) cos(r theta) + cos(qR theta) sin(r theta).
+
+    Each table angle is corrected for the rounding of its product. theta is
+    split as hi + lo (Veltkamp), with hi short enough that m hi is exact, so
+    the rounding error of a = fl(m theta) is c = (m hi - a) + m lo, and
+    sin(m theta) = sin a + c cos a, cos(m theta) = cos a - c sin a to within
+    rounding. The table is thus accurate to a few units in the last place of
+    sin(k theta) at the float theta, where np.sin of the rounded product
+    k theta errs by up to half an ulp of k theta: 1.1e-13 at 500 modes.
+    """
+    theta = np.asarray(theta, dtype=float)
+    R = isqrt(modes) + 1
+    m = np.concatenate([np.arange(R), np.arange(R, modes + 1, R)])[:, None]
+    p = theta * float((1 << int(modes).bit_length()) + 1)
+    hi = p - (p - theta)
+    a = m * theta
+    c = m * hi - a
+    c += m * (theta - hi)
+    sin_a, cos_a = np.sin(a), np.cos(a)
+    sines = sin_a + c * cos_a
+    cosines = cos_a - c * sin_a
+    fine_sin, fine_cos = sines[:R], cosines[:R]
+
+    out = np.empty((modes, theta.size))
+    out[:R - 1] = fine_sin[1:]
+    term = np.empty((R, theta.size))
+    # rows k = k0 + r, r < R, from the table row of the coarse angle k0 theta
+    for coarse, k0 in enumerate(range(R, modes + 1, R), start=R):
+        rows = min(R, modes + 1 - k0)
+        block = out[k0 - 1:k0 - 1 + rows]
+        np.multiply(sines[coarse], fine_cos[:rows], out=block)
+        np.multiply(cosines[coarse], fine_sin[:rows], out=term[:rows])
+        block += term[:rows]
+    return out
+
+
+def _checked_grid(name: str, grid, left: float, right: float) -> np.ndarray:
+    """grid as a float array; a ValueError names its first node that is not
+    finite or lies outside [left, right]."""
+    grid = np.asarray(grid, dtype=float)
+    bad = np.flatnonzero(~((grid >= left) & (grid <= right)))
+    if bad.size:
+        j = bad[0]
+        where = ("is not finite" if not np.isfinite(grid[j])
+                 else f"lies outside [{left}, {right}]")
+        raise ValueError(f"{name} node {j} = {grid[j]} {where}")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -49,12 +107,11 @@ class NoiseModel1D:
             raise ValueError(f"need at least one mode, got {modes}")
         if x_right <= x_left:
             raise ValueError("empty domain")
-        grid = np.asarray(grid, dtype=float)
+        grid = _checked_grid("grid", grid, x_left, x_right)
         L = x_right - x_left
-        k = np.arange(1, modes + 1)
-        eig_sqrt = k ** -1.5
-        basis = (eig_sqrt[:, None] * np.sqrt(2.0 / L)
-                 * np.sin(np.outer(k, (grid - x_left) * np.pi / L)))
+        eig_sqrt = np.arange(1, modes + 1) ** -1.5
+        basis = sine_table(modes, (grid - x_left) * np.pi / L)
+        basis *= (eig_sqrt * np.sqrt(2.0 / L))[:, None]
         basis[:, grid <= x_left] = 0.0
         basis[:, grid >= x_right] = 0.0
         return cls(x_left, x_right, modes, seed, grid, basis)
@@ -95,15 +152,15 @@ class NoiseModel2D:
               modes_x: int = 64, modes_y: int = 64, seed: int = 0) -> "NoiseModel2D":
         if modes_x < 1 or modes_y < 1:
             raise ValueError("need at least one mode per axis")
-        gx = np.asarray(grid_x, dtype=float)
-        gy = np.asarray(grid_y, dtype=float)
         Lx, Ly = x_right - x_left, y_right - y_left
         if Lx <= 0 or Ly <= 0:
             raise ValueError("empty domain")
+        gx = _checked_grid("grid_x", grid_x, x_left, x_right)
+        gy = _checked_grid("grid_y", grid_y, y_left, y_right)
         k1 = np.arange(1, modes_x + 1)
         k2 = np.arange(1, modes_y + 1)
-        bx = np.sin(np.outer(k1, (gx - x_left) * np.pi / Lx))
-        by = np.sin(np.outer(k2, (gy - y_left) * np.pi / Ly))
+        bx = sine_table(modes_x, (gx - x_left) * np.pi / Lx)
+        by = sine_table(modes_y, (gy - y_left) * np.pi / Ly)
         bx[:, (gx <= x_left) | (gx >= x_right)] = 0.0
         by[:, (gy <= y_left) | (gy >= y_right)] = 0.0
         amp = 2.0 / ((k1[:, None] ** 2 + k2[None, :] ** 2) * np.sqrt(Lx * Ly))

@@ -9,6 +9,7 @@ trajectories can be stepped as the columns of one state.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -168,7 +169,7 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
         mesh: OverlapMesh1D, or a tuple of one per axis: (mesh,) or
             (mesh_x, mesh_y).
         problem: equation parameters and Dirichlet data.
-        tau: time step, > 0.
+        tau: time step, positive and finite.
         n_steps: number of steps, >= 0.
         t0: initial time.
         options: noise source, solver settings, snapshot/invariant recording.
@@ -181,11 +182,12 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
         StepFailure: a linear solve did not reach tolerance mid-run; a NaN
             or inf in the state fails the solve of the step it enters. It
             carries the sha256 of the state that entered the failed step.
-        ValueError: inconsistent shapes, missing noise, bad snapshot
-            indices, invariant_stride < 1, or invariants asked of a block.
+        ValueError: a tau that is not positive and finite, inconsistent
+            shapes, missing noise, bad snapshot indices, invariant_stride
+            < 1, or invariants asked of a block.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     options = options or RunOptions()

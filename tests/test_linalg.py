@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 import odds_nls.stepper as stepper
-from odds_nls.linalg import (KrylovError, LUSolver, SolverOptions,
+from odds_nls.linalg import (CNSystem, KrylovError, LUSolver, SolverOptions,
                              build_cn_system, cn_step_linear, krylov_solve,
                              krylov_solve_block, stack_real, unstack_real)
 from odds_nls.mesh import assemble_global, build_mesh
@@ -283,6 +283,80 @@ class TestInteriorBoundaryBlocks:
         np.testing.assert_allclose(split, full, atol=1e-12)
 
 
+def same_bits(got, want):
+    """Equal CSR matrices: type, shape, dtypes, index arrays and the bytes
+    of the data (array_equal would let -0.0 stand for 0.0)."""
+    return (type(got) is type(want) and got.shape == want.shape
+            and got.data.dtype == want.data.dtype
+            and got.data.tobytes() == want.data.tobytes()
+            and got.indices.dtype == want.indices.dtype
+            and np.array_equal(got.indices, want.indices)
+            and got.indptr.dtype == want.indptr.dtype
+            and np.array_equal(got.indptr, want.indptr))
+
+
+class TestBuildMatchesSlices:
+    """build_cn_system cuts B and B_boundary from D2's arrays and forms A
+    from B's entries; each is pinned bit for bit to the slice formulation
+    and the sparse sum I + i tau/2 B."""
+
+    @staticmethod
+    def reference(mesh, tau):
+        D2 = assemble_global(mesh, 2)
+        B = D2[1:-1, 1:-1]
+        A = sp.identity(B.shape[0], format="csr") + 0.5j * tau * B
+        return B, D2[1:-1, [0, -1]], A
+
+    # M = 1, then the convergence, soliton and gaussian2d meshes and taus
+    @pytest.mark.parametrize("domain, M, J, tau", [
+        ((-1.0, 1.0), 1, 8, 0.01), ((-1.0, 1.0), 1, 2, 0.3),
+        ((-1.0, 1.0), 2, 16, 2.0 ** -10), ((-1.0, 1.0), 2, 16, 2.0 ** -4),
+        ((-20.0, 100.0), 10, 30, 0.015), ((-10.0, 10.0), 4, 32, 0.01)])
+    def test_matrices_equal_the_slices_bit_for_bit(self, domain, M, J, tau):
+        mesh = build_mesh(*domain, M, J)
+        system = build_cn_system(mesh, tau)
+        B, B_boundary, A = self.reference(mesh, tau)
+        assert same_bits(system.B, B)
+        assert same_bits(system.B_boundary, B_boundary)
+        assert same_bits(system.A, A)
+
+    def test_a_of_a_negative_tau_matches_the_sparse_sum(self):
+        # 0.5j * -tau has real part -0.0, which the product carries into
+        # the real parts of c * B's entries; the sum turns them into 0.0
+        B, B_boundary, A = self.reference(build_mesh(-1.0, 1.0, 2, 10), -0.01)
+        assert same_bits(CNSystem(B=B, B_boundary=B_boundary, tau=-0.01).A, A)
+
+    @pytest.mark.parametrize("case", ["no diagonal entry", "unsorted",
+                                      "stored zero"])
+    def test_other_patterns_are_summed_as_sparse_matrices(self, case):
+        B = sp.csr_matrix(np.array([[-2.0, 1.0, 0.0], [1.0, -2.0, 1.0],
+                                    [0.0, 1.0, -2.0]]))
+        if case == "no diagonal entry":
+            B[1, 1] = 0.0
+            B.eliminate_zeros()
+        elif case == "unsorted":
+            B.indices[:2] = B.indices[1::-1].copy()
+            B.data[:2] = B.data[1::-1].copy()
+            B.has_sorted_indices = False
+        else:
+            B.data[1] = 0.0
+        want = sp.identity(3, format="csr") + 0.5j * 0.1 * B
+        got = CNSystem(B=B, B_boundary=sp.csr_matrix((3, 2)), tau=0.1).A
+        assert same_bits(got, want)
+        np.testing.assert_array_equal(got.toarray(),
+                                      np.eye(3) + 0.05j * B.toarray())
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.01, np.nan, np.inf, -np.inf])
+def test_build_and_run_reject_a_tau_not_positive_and_finite(tau):
+    mesh = build_mesh(-1.0, 1.0, 2, 6)
+    with pytest.raises(ValueError, match="tau"):
+        build_cn_system(mesh, tau)
+    u0 = np.sin(np.pi * mesh.nodes) + 0j
+    with pytest.raises(ValueError, match="tau"):
+        run_trajectory(u0, mesh, ProblemSpec(), tau, 2)
+
+
 class TestCNStep:
     def test_zero_tau_limit_is_identity(self):
         mesh = build_mesh(-1.0, 1.0, 2, 8)
@@ -299,7 +373,7 @@ class TestCNStep:
         mesh = build_mesh(-1.0, 1.0, 2, 10)
         tau = 0.01
         fwd = build_cn_system(mesh, tau)
-        bwd = build_cn_system(mesh, -tau)
+        bwd = CNSystem(B=fwd.B, B_boundary=fwd.B_boundary, tau=-tau)
         rng = np.random.default_rng(7)
         u = rng.standard_normal(mesh.n_nodes) + 1j * rng.standard_normal(mesh.n_nodes)
         u[0] = u[-1] = 0.0

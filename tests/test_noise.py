@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from odds_nls.baselines import uniform_grid_1d
+from odds_nls.mesh import build_mesh
 from odds_nls.noise import (CHUNK_NORMALS, NoiseModel1D, NoiseModel2D,
-                            ReplayNoise, coarsen, draw_path)
+                            ReplayNoise, coarsen, draw_path, sine_table)
 
 
 @pytest.fixture
@@ -216,6 +218,110 @@ def test_build_rejects_bad_domain_and_modes(grid):
         NoiseModel1D.build(1.0, -1.0, grid)
     with pytest.raises(ValueError):
         NoiseModel1D.build(-1.0, 1.0, grid, modes=0)
+
+
+@pytest.mark.parametrize("bad, node, what", [
+    (np.nan, 2, "not finite"), (np.inf, 2, "not finite"),
+    (-1.5, 2, "outside"), (1.0 + 1e-12, 2, "outside")])
+def test_build_names_the_first_bad_grid_node(grid, bad, node, what):
+    g = grid.copy()
+    g[node] = bad
+    g[node + 3] = np.nan
+    with pytest.raises(ValueError, match=f"grid node {node} .*{what}"):
+        NoiseModel1D.build(-1.0, 1.0, g)
+    with pytest.raises(ValueError, match=f"grid_y node {node} .*{what}"):
+        NoiseModel2D.build(-1.0, 1.0, -1.0, 1.0, grid, g)
+    with pytest.raises(ValueError, match=f"grid_x node {node} .*{what}"):
+        NoiseModel2D.build(-1.0, 1.0, -1.0, 1.0, g, grid)
+
+
+def test_build_rejects_nodes_outside_the_domain():
+    with pytest.raises(ValueError, match=r"grid node 0 = -2.0 lies outside"):
+        NoiseModel1D.build(0.0, 1.0, [-2.0, 0.0, 0.5, 3.0])
+
+
+def test_nodes_on_the_boundary_are_valid_and_give_zero_columns():
+    g = np.array([0.0, 0.25, 0.5, 1.0])
+    model = NoiseModel1D.build(0.0, 1.0, g, modes=7)
+    np.testing.assert_array_equal(model.basis[:, [0, -1]], 0.0)
+    assert np.all(model.basis[0, 1:-1] > 0.0)
+    model = NoiseModel2D.build(0.0, 1.0, 0.0, 1.0, g, g, modes_x=3,
+                               modes_y=3)
+    np.testing.assert_array_equal(model.bx[:, [0, -1]], 0.0)
+    np.testing.assert_array_equal(model.by[:, [0, -1]], 0.0)
+
+
+def _theta(left, right, nodes):
+    return (nodes - left) * np.pi / (right - left)
+
+
+# (modes, left, right, nodes): the soliton, efficiency and convergence
+# meshes at 500 modes, the efficiency schemes' 601-point grid, and the
+# gaussian2d mesh of both axes at 64 modes
+SINE_GRIDS = {
+    "soliton": (500, -20.0, 100.0, build_mesh(-20.0, 100.0, 10, 30).nodes),
+    "efficiency": (500, -20.0, 100.0, build_mesh(-20.0, 100.0, 20, 30).nodes),
+    "convergence": (500, -1.0, 1.0, build_mesh(-1.0, 1.0, 2, 16).nodes),
+    "uniform601": (500, -20.0, 100.0,
+                   uniform_grid_1d(-20.0, 100.0, 601).nodes),
+    "gaussian2d": (64, -10.0, 10.0, build_mesh(-10.0, 10.0, 4, 32).nodes),
+}
+
+
+class TestSineTable:
+    """sine_table against sin(k theta) at the float theta, evaluated in
+    80-bit long double, where k theta is exact for k <= 2^11."""
+
+    @staticmethod
+    def errors(modes, theta):
+        if np.finfo(np.longdouble).nmant < 63:
+            pytest.skip("long double is not the 80-bit x87 format here")
+        k = np.arange(1, modes + 1)
+        exact = np.sin(np.outer(k.astype(np.longdouble),
+                                theta.astype(np.longdouble)))
+        table = sine_table(modes, theta)
+        direct = np.sin(np.outer(k, theta))
+        return (float(np.max(np.abs(table - exact))),
+                float(np.max(np.abs(direct - exact))))
+
+    @pytest.mark.parametrize("name", SINE_GRIDS)
+    def test_no_less_accurate_than_direct_sines(self, name):
+        modes, left, right, nodes = SINE_GRIDS[name]
+        table_err, direct_err = self.errors(modes, _theta(left, right, nodes))
+        assert table_err <= direct_err
+        assert table_err < 1e-15
+
+    # one mode; perfect squares and their neighbours, where the last block
+    # of rows is full, holds one row or falls short by one; more modes
+    # (2048) than nodes (32)
+    @pytest.mark.parametrize("modes", [1, 2, 3, 15, 16, 17, 63, 64, 65, 2048])
+    def test_edge_mode_counts(self, modes):
+        _, left, right, nodes = SINE_GRIDS["convergence"]
+        theta = _theta(left, right, nodes)
+        table = sine_table(modes, theta)
+        assert table.shape == (modes, nodes.size)
+        assert table.dtype == np.float64 and table.flags.c_contiguous
+        np.testing.assert_array_equal(table[:, 0], 0.0)   # theta = 0
+        table_err, direct_err = self.errors(modes, theta)
+        assert table_err <= direct_err
+        model = NoiseModel1D.build(left, right, nodes, modes=modes)
+        np.testing.assert_array_equal(model.basis[:, [0, -1]], 0.0)
+
+    def test_builds_scale_the_table(self):
+        modes, left, right, nodes = SINE_GRIDS["soliton"]
+        theta = _theta(left, right, nodes)
+        L = right - left
+        scale = np.arange(1, modes + 1) ** -1.5 * np.sqrt(2.0 / L)
+        model = NoiseModel1D.build(left, right, nodes, modes=modes)
+        np.testing.assert_array_equal(
+            model.basis[:, 1:-1], (scale[:, None] * sine_table(modes, theta))
+            [:, 1:-1])
+        modes, left, right, nodes = SINE_GRIDS["gaussian2d"]
+        model = NoiseModel2D.build(left, right, 0.0, 1.0, nodes,
+                                   np.linspace(0.0, 1.0, 9))
+        np.testing.assert_array_equal(
+            model.bx[:, 1:-1], sine_table(modes, _theta(left, right, nodes))
+            [:, 1:-1])
 
 
 class TestNoise2D:
