@@ -149,8 +149,13 @@ class LUSolver:
 class CNSystem:
     """One mesh/step-size Crank-Nicolson system, reusable across time steps.
 
-    A is built from B and tau; lu solves with A, and its factor is built on
-    the first step that needs it. E, G and G_explicit are built on request.
+    A = I + i tau/2 B is formed on B's pattern, so B must be canonical and
+    store its whole diagonal (ValueError otherwise): each entry of A is 1 on
+    the diagonal and +0.0 off it, plus i tau/2 times B's entry. For a B that
+    stores no zeros and a finite tau B, that is bit for bit the sparse sum
+    sp.identity(n) + 0.5j * tau * B. lu solves with A, and its factor is
+    built on the first step that needs it. E, G and G_explicit are built on
+    request.
     """
 
     B: sp.csr_matrix
@@ -162,7 +167,17 @@ class CNSystem:
 
     def __post_init__(self):
         self.n_interior = self.B.shape[0]
-        self.A = _implicit_matrix(self.B, self.tau)
+        B, n = self.B, self.n_interior
+        diagonal = B.indices == np.repeat(np.arange(n), np.diff(B.indptr))
+        if not B.has_canonical_format or np.count_nonzero(diagonal) != n:
+            raise ValueError("B must be canonical and store its whole diagonal")
+        data = np.empty(B.nnz, dtype=complex)
+        data.real = diagonal
+        np.multiply(B.data, 0.5 * self.tau, out=data.imag)
+        # A owns its index arrays, so no in-place operation on one matrix
+        # reaches the other
+        self.A = sp.csr_matrix((data, B.indices.copy(), B.indptr.copy()),
+                               shape=B.shape)
         self.lu = LUSolver(self.A)
 
     def boundary_forcing(self, bc_old, bc_new) -> np.ndarray:
@@ -194,30 +209,6 @@ class CNSystem:
         eye = sp.identity(self.n_interior, format="csr")
         return sp.bmat([[half * self.B, eye], [eye, -half * self.B]],
                        format="csr")
-
-
-def _implicit_matrix(B: sp.csr_matrix, tau: float) -> sp.csr_matrix:
-    """A = I + i tau/2 B, bit for bit as sp.identity(n) + 0.5j * tau * B.
-
-    For a canonical B that stores its whole diagonal, that sparse sum keeps
-    B's pattern: each entry's imaginary part is tau/2 times B's entry, and
-    its real part is 1 on the diagonal and +0.0 elsewhere (the sum adds 1 or
-    0 to the product's real parts, which are +-0.0). A is formed so
-    directly, unless an entry comes to zero, which the sum would drop, or is
-    not finite; any other B is summed as sparse matrices.
-    """
-    n = B.shape[0]
-    diagonal = B.indices == np.repeat(np.arange(n), np.diff(B.indptr))
-    data = np.empty(B.nnz, dtype=complex)
-    data.real = diagonal
-    imag = np.multiply(B.data, 0.5 * tau, out=data.imag)
-    if (B.has_canonical_format and np.count_nonzero(diagonal) == n
-            and imag.all() and np.isfinite(imag).all()):
-        # A owns its index arrays, as the sum's would, so no in-place
-        # operation on one matrix reaches the other
-        return sp.csr_matrix((data, B.indices.copy(), B.indptr.copy()),
-                             shape=B.shape)
-    return sp.identity(n, format="csr") + 0.5j * tau * B
 
 
 def build_cn_system(mesh: OverlapMesh1D, tau: float) -> CNSystem:

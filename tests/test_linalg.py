@@ -326,25 +326,19 @@ class TestBuildMatchesSlices:
         B, B_boundary, A = self.reference(build_mesh(-1.0, 1.0, 2, 10), -0.01)
         assert same_bits(CNSystem(B=B, B_boundary=B_boundary, tau=-0.01).A, A)
 
-    @pytest.mark.parametrize("case", ["no diagonal entry", "unsorted",
-                                      "stored zero"])
-    def test_other_patterns_are_summed_as_sparse_matrices(self, case):
+    @pytest.mark.parametrize("case", ["no diagonal entry", "unsorted"])
+    def test_other_patterns_are_rejected(self, case):
         B = sp.csr_matrix(np.array([[-2.0, 1.0, 0.0], [1.0, -2.0, 1.0],
                                     [0.0, 1.0, -2.0]]))
         if case == "no diagonal entry":
             B[1, 1] = 0.0
             B.eliminate_zeros()
-        elif case == "unsorted":
+        else:
             B.indices[:2] = B.indices[1::-1].copy()
             B.data[:2] = B.data[1::-1].copy()
             B.has_sorted_indices = False
-        else:
-            B.data[1] = 0.0
-        want = sp.identity(3, format="csr") + 0.5j * 0.1 * B
-        got = CNSystem(B=B, B_boundary=sp.csr_matrix((3, 2)), tau=0.1).A
-        assert same_bits(got, want)
-        np.testing.assert_array_equal(got.toarray(),
-                                      np.eye(3) + 0.05j * B.toarray())
+        with pytest.raises(ValueError, match="diagonal"):
+            CNSystem(B=B, B_boundary=sp.csr_matrix((3, 2)), tau=0.1)
 
 
 @pytest.mark.parametrize("tau", [0.0, -0.01, np.nan, np.inf, -np.inf])
