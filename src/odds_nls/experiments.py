@@ -13,7 +13,7 @@ import os
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -103,7 +103,9 @@ def _csv_text(columns) -> str:
     if any(len(c) != n for c in columns):
         raise ValueError("CSV columns of unequal length "
                          f"{[len(c) for c in columns]}")
-    text = "".join(row + "\r\n" for row in map(",".join, zip(*columns)))
+    if n == 0:
+        return ""
+    text = "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
     if ('"' in text or text.count(",") != n * (len(columns) - 1)
             or text.count("\r") != n or text.count("\n") != n
             or (len(columns) == 1 and "" in columns[0])):
@@ -234,12 +236,18 @@ def _time_grid(config: ExperimentConfig, snapshots: bool = True) -> dict:
 # ---------------------------------------------------------------------- set-up
 
 def _mesh_axes(config: ExperimentConfig, dimension: int) -> list:
-    """The overlapping mesh of each axis, x first."""
-    axes = [build_mesh(config.x_left, config.x_right, config.elements,
-                       config.degree)]
+    """The overlapping mesh of each axis, x first.
+
+    A y axis with the x axis's bounds, elements and degree is the x mesh
+    object itself, so the two axes share its operators and CN system. The
+    parameters are compared by repr, which keeps -0.0 apart from 0.0.
+    """
+    x = (config.x_left, config.x_right, config.elements, config.degree)
+    axes = [build_mesh(*x)]
     if dimension == 2:
-        axes.append(build_mesh(config.y_left, config.y_right,
-                               config.elements_y, config.degree_y))
+        y = (config.y_left, config.y_right, config.elements_y,
+             config.degree_y)
+        axes.append(axes[0] if repr(y) == repr(x) else build_mesh(*y))
     return axes
 
 
@@ -506,10 +514,13 @@ def _timed_run(config: ExperimentConfig, name: str, n_steps: int,
         prob = ProblemSpec(config.lam, config.eps)
 
         def once(rep):
+            # a fresh copy of each mesh holds no operators, so every repeat
+            # assembles, cuts and factors its own, as SMM and FDSCN do
+            fresh = {id(axis): replace(axis) for axis in axes}
             opts = RunOptions(noise=model.trajectory(rep),
                               record_invariants=False)
-            run_trajectory(u0, tuple(axes), prob, config.tau, n_steps,
-                           options=opts)
+            run_trajectory(u0, tuple(fresh[id(axis)] for axis in axes), prob,
+                           config.tau, n_steps, options=opts)
     else:
         def once(rep):
             # built and factored in every repeat, as run_trajectory does

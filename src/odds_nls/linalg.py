@@ -10,11 +10,15 @@ Since E = 2I - A, the step solves A y = 2u^n + f and returns u^{n+1} =
 y - u^n: the two equations are the same, and so are their residuals,
 2u^n + f - A y = E u^n + f - A u^{n+1}. A step thus makes no product with E.
 
-A depends only on the mesh and tau, so every time step solves it with one
-complex sparse LU factor (LUSolver), built on the first solve. One matvec
-checks the factor's solution against the max-norm residual target
-(krylov_solve, krylov_solve_block for many right-hand sides); only a
-solution that misses it is refined by SciPy's restarted GMRES.
+B and B_boundary depend only on the mesh: build_cn_system cuts them from
+the mesh's assembled D2 once per mesh object and keeps them, read-only, on
+that object (OverlapMesh1D.shared). The systems of every step size and
+axis on one mesh share them, and each forms only its own A. A depends only
+on the mesh and tau, so every time step solves it with one complex sparse
+LU factor (LUSolver), built on the first solve. One matvec checks the
+factor's solution against the max-norm residual target (krylov_solve,
+krylov_solve_block for many right-hand sides); only a solution that misses
+it is refined by SciPy's restarted GMRES.
 
 CNSystem.E, and G and G_explicit, A and E over the reals acting on the
 stacked vector [imag; real] (stack_real), are built on request; no solve
@@ -29,7 +33,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .mesh import OverlapMesh1D, assemble_global
+# re-exported, so code that imports assemble_global from here keeps working
+from .mesh import OverlapMesh1D, assemble_global  # noqa: F401
 
 
 class KrylovError(RuntimeError):
@@ -155,24 +160,29 @@ class CNSystem:
     stores no zeros and a finite tau B, that is bit for bit the sparse sum
     sp.identity(n) + 0.5j * tau * B. lu solves with A, and its factor is
     built on the first step that needs it. E, G and G_explicit are built on
-    request.
+    request. No method writes to B or B_boundary, which systems of one mesh
+    share.
+
+    diagonal, which of B's stored entries lie on the diagonal, is found and
+    checked when None; build_cn_system passes the mask it cut with B.
     """
 
     B: sp.csr_matrix
     B_boundary: sp.csr_matrix   # (n_int, 2) couplings to the two end nodes
     tau: float
+    diagonal: np.ndarray | None = field(default=None, repr=False,
+                                        compare=False)
     n_interior: int = field(init=False)
     A: sp.csr_matrix = field(init=False, repr=False, compare=False)
     lu: LUSolver = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.n_interior = self.B.shape[0]
-        B, n = self.B, self.n_interior
-        diagonal = B.indices == np.repeat(np.arange(n), np.diff(B.indptr))
-        if not B.has_canonical_format or np.count_nonzero(diagonal) != n:
-            raise ValueError("B must be canonical and store its whole diagonal")
+        B = self.B
+        if self.diagonal is None:
+            self.diagonal = _diagonal_mask(B)
         data = np.empty(B.nnz, dtype=complex)
-        data.real = diagonal
+        data.real = self.diagonal
         np.multiply(B.data, 0.5 * self.tau, out=data.imag)
         # A owns its index arrays, so no in-place operation on one matrix
         # reaches the other
@@ -211,19 +221,42 @@ class CNSystem:
                        format="csr")
 
 
-def build_cn_system(mesh: OverlapMesh1D, tau: float) -> CNSystem:
-    """Assemble the CN system for one mesh and step size.
+def _diagonal_mask(B: sp.csr_matrix) -> np.ndarray:
+    """Which of B's stored entries lie on its diagonal, one bool each.
 
-    B = D2[1:-1, 1:-1] and B_boundary = D2[1:-1, [0, -1]] are cut from the
-    assembled operator's arrays: its rows are sorted, so an interior row's
-    entry in column 0 is its first and one in column n - 1 its last. These
-    form B_boundary, and the rest of the interior rows' entries B. Like D2,
-    they and the matrices built from them store no zeros. Raises ValueError
-    unless tau is positive and finite.
+    Raises ValueError unless B is canonical and stores its whole diagonal.
+    """
+    n = B.shape[0]
+    diagonal = B.indices == np.repeat(np.arange(n), np.diff(B.indptr))
+    if not B.has_canonical_format or np.count_nonzero(diagonal) != n:
+        raise ValueError("B must be canonical and store its whole diagonal")
+    return diagonal
+
+
+def build_cn_system(mesh: OverlapMesh1D, tau: float) -> CNSystem:
+    """The CN system for one mesh and step size.
+
+    B, B_boundary and B's diagonal mask are cut once per mesh object
+    (_interior_cut) and shared by the systems of every step size; a system
+    forms only its own A. Raises ValueError unless tau is positive and
+    finite.
     """
     if not 0 < tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    D2 = assemble_global(mesh, 2)
+    B, B_boundary, diagonal = mesh.shared("cn_cut", _interior_cut)
+    return CNSystem(B=B, B_boundary=B_boundary, tau=tau, diagonal=diagonal)
+
+
+def _interior_cut(mesh: OverlapMesh1D) -> tuple:
+    """(B, B_boundary, _diagonal_mask(B)) of the mesh's second derivative.
+
+    B = D2[1:-1, 1:-1] and B_boundary = D2[1:-1, [0, -1]] are cut from the
+    arrays of the mesh's assembled D2: its rows are sorted, so an interior
+    row's entry in column 0 is its first and one in column n - 1 its last.
+    These form B_boundary, and the rest of the interior rows' entries B.
+    Like D2, they and the matrices built from them store no zeros.
+    """
+    D2 = mesh.operator(2)
     n = D2.shape[0]
     indptr, cols = D2.indptr, D2.indices
     # each interior row's first and last entry, and which are end columns
@@ -240,7 +273,7 @@ def build_cn_system(mesh: OverlapMesh1D, tau: float) -> CNSystem:
     B = sp.csr_matrix((D2.data[keep], cols[keep] - 1,
                        indptr[1:-1] - indptr[1] - edge_ptr),
                       shape=(n - 2, n - 2))
-    return CNSystem(B=B, B_boundary=B_boundary, tau=tau)
+    return B, B_boundary, _diagonal_mask(B)
 
 
 def stack_real(u: np.ndarray) -> np.ndarray:

@@ -4,9 +4,14 @@ A 1D mesh covers [x_left, x_right] with M equal-width elements whose
 Lobatto grids overlap: the last two nodes of element m are the first two
 nodes of element m+1. Each global node is computed exactly once, so shared
 nodes are bitwise identical between neighbouring elements.
+
+Operators that depend on the mesh alone, such as the assembled
+differentiation matrices, are built once per mesh object by
+OverlapMesh1D.shared and then shared by every caller, with read-only
+arrays.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,6 +34,9 @@ class OverlapMesh1D:
     dx: float
     nodes: np.ndarray          # global grid, all shared nodes stored once
     element_bounds: np.ndarray  # (M, 2) physical end points per element
+    # key -> operator built from this mesh object, see shared()
+    _shared: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -47,6 +55,29 @@ class OverlapMesh1D:
 
     def element_nodes(self, m: int) -> np.ndarray:
         return self.nodes[self.element_slice(m)]
+
+    def shared(self, key, build):
+        """build(self), built on the first call with key and kept.
+
+        Every later call with key returns the same object, so it must not
+        be written: the arrays of a sparse matrix, or of a tuple of arrays
+        and sparse matrices, are made read-only. The store lives and dies
+        with this mesh object; a copy (dataclasses.replace) starts empty.
+        """
+        if key not in self._shared:
+            value = build(self)
+            for item in value if isinstance(value, tuple) else (value,):
+                arrays = ((item.data, item.indices, item.indptr)
+                          if sp.issparse(item) else (item,))
+                for array in arrays:
+                    array.setflags(write=False)
+            self._shared[key] = value
+        return self._shared[key]
+
+    def operator(self, order: int = 2) -> sp.csr_matrix:
+        """assemble_global(self, order), assembled once per mesh object."""
+        return self.shared(("D", order),
+                           lambda mesh: assemble_global(mesh, order))
 
 
 def build_mesh(x_left: float, x_right: float, M: int, J: int) -> OverlapMesh1D:

@@ -23,13 +23,6 @@ import numpy as np
 CHUNK_NORMALS = 8192
 
 
-@dataclass(frozen=True)
-class WienerIncrement:
-    values: np.ndarray
-    t_from: float
-    t_to: float
-
-
 def sine_table(modes: int, theta: np.ndarray) -> np.ndarray:
     """sin(k theta_j) for k = 1..modes, as a C-contiguous (modes, n) array.
 
@@ -248,12 +241,6 @@ class TrajectoryNoise:
         chunk, row = self._locate(step)
         return np.sqrt(dt) * self.chunk_values(chunk)[row]
 
-    def increment_at(self, step: int, t_from: float, t_to: float) -> WienerIncrement:
-        if t_to <= t_from:
-            raise ValueError(f"non-positive interval [{t_from}, {t_to}]")
-        return WienerIncrement(self.grid_increments(step, t_to - t_from),
-                               t_from, t_to)
-
 
 def draw_path(model: NoiseModel1D, trajectories, n_steps: int,
               dt: float) -> np.ndarray:
@@ -302,9 +289,3 @@ class ReplayNoise:
     def grid_increments(self, step: int, dt: float) -> np.ndarray:
         _check_dt(dt)
         return self.path[step]
-
-    def increment_at(self, step: int, t_from: float, t_to: float) -> WienerIncrement:
-        if t_to <= t_from:
-            raise ValueError(f"non-positive interval [{t_from}, {t_to}]")
-        return WienerIncrement(self.grid_increments(step, t_to - t_from),
-                               t_from, t_to)

@@ -9,8 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import assemble_global
-
 
 def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     nodes = np.asarray(nodes, dtype=float)
@@ -41,11 +39,12 @@ def discrete_energy(values: np.ndarray, mesh, diff1=None) -> float:
     """H = 1/2 int |grad u|^2 - 1/4 int |u|^4 on the mesh grid.
 
     mesh is an OverlapMesh1D or an (mesh_x, mesh_y) pair, and diff1 its
-    first-derivative operator or one per axis; None assembles them.
+    first-derivative operator or one per axis; None takes each axis's
+    OverlapMesh1D.operator(1).
     """
     axes = mesh if isinstance(mesh, tuple) else (mesh,)
     if diff1 is None:
-        diff1 = [assemble_global(axis, 1) for axis in axes]
+        diff1 = [axis.operator(1) for axis in axes]
     elif not isinstance(diff1, tuple):
         diff1 = (diff1,)
     grad2 = np.abs(diff1[0] @ values) ** 2

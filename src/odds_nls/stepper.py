@@ -17,7 +17,7 @@ import numpy as np
 
 from .linalg import (CNSystem, KrylovError, SolverOptions, build_cn_system,
                      cn_step_linear)
-from .mesh import OverlapMesh1D, assemble_global
+from .mesh import OverlapMesh1D
 from .observables import discrete_charge, discrete_energy
 
 
@@ -211,11 +211,14 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
         if not 0 <= s <= n_steps:
             raise ValueError(f"snapshot step {s} outside [0, {n_steps}]")
 
-    systems = [build_cn_system(axis, tau) for axis in axes]
+    # a mesh object repeated across axes has one system and one LU factor
+    unique = {id(axis): axis for axis in axes}
+    built = {key: build_cn_system(axis, tau) for key, axis in unique.items()}
+    systems = [built[id(axis)] for axis in axes]
     step = odds_step_1d if len(axes) == 1 else odds_step_2d
     if options.record_invariants:
         nodes = [axis.nodes for axis in axes]
-        d1 = tuple(assemble_global(axis, 1) for axis in axes)
+        d1 = tuple(axis.operator(1) for axis in axes)
 
         def invariants(v):
             return discrete_charge(v, *nodes), discrete_energy(v, axes, d1)

@@ -101,7 +101,7 @@ class TestFDSCN1D:
         q0 = float(np.sum(np.abs(u) ** 2))
         stream = model.trajectory(0)
         for k in range(25):
-            u = m.step(u, stream.increment_at(k, 0.0, 0.01).values)
+            u = m.step(u, stream.grid_increments(k, 0.01))
         assert abs(np.sum(np.abs(u) ** 2) - q0) / q0 < 1e-10
 
     def test_nonlinear_stage_matches_root_finder(self):
@@ -178,7 +178,7 @@ class TestImplicitEquations:
                                        seed=2)
             grids, schemes = (gx, gy), (SMM2D, FDSCN2D)
             tau, lam, eps = 0.01, 1.0, 0.5
-        dw = model.trajectory(0).increment_at(0, 0.0, tau).values
+        dw = model.trajectory(0).grid_increments(0, tau)
         return grids, schemes, u, dw, tau, lam, eps
 
     def test_smm_step_solves_its_midpoint_equation(self, case):
@@ -248,7 +248,7 @@ class TestUniform2D:
         q0 = float(np.sum(np.abs(u) ** 2))
         stream = model.trajectory(0)
         for k in range(10):
-            u = m.step(u, stream.increment_at(k, 0.0, 0.01).values)
+            u = m.step(u, stream.grid_increments(k, 0.01))
         assert abs(np.sum(np.abs(u) ** 2) - q0) / q0 < 1e-10
 
     def test_2d_steps_keep_boundary_zero(self):

@@ -5,6 +5,7 @@ full-size setups are exercised by the acceptance suite.
 """
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -441,6 +442,66 @@ class TestOtherRunners:
         assert not np.array_equal(*drawn["SMM"][:2])    # repeats differ
         assert result.manifest["n_steps"] == 3
         assert "realised_snapshot_times" not in result.manifest
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_every_efficiency_repeat_assembles_its_own_operators(
+            self, tmp_path, monkeypatch, dimension):
+        # odds repeats step fresh copies of the mesh, so none reuses the
+        # operators of the one before, as SMM and FDSCN build theirs in
+        # every repeat; the equal 2D axes are one mesh
+        import odds_nls.mesh
+        orders = []
+        real_assemble = odds_nls.mesh.assemble_global
+
+        def counted(mesh, order=2):
+            orders.append(order)
+            return real_assemble(mesh, order)
+
+        monkeypatch.setattr(odds_nls.mesh, "assemble_global", counted)
+        cfg = from_mapping({"kind": "efficiency", "dimension": dimension,
+                            "x_left": -5.0, "x_right": 5.0, "y_left": -5.0,
+                            "y_right": 5.0, "elements": 2, "degree": 6,
+                            "elements_y": 2, "degree_y": 6, "modes": 10,
+                            "modes_y": 10, "uniform_points": 11, "tau": 0.02,
+                            "t_final": 0.04, "repeats": 3,
+                            "output_dir": str(tmp_path)})
+        run_experiment(cfg, workers=1)
+        assert orders == [2] * 3
+
+    def test_equal_2d_axes_are_one_mesh_object(self):
+        base = {"kind": "gaussian2d", "x_left": 0.0, "x_right": 1.0,
+                "y_left": 0.0, "y_right": 1.0, "elements": 2, "degree": 5,
+                "elements_y": 2, "degree_y": 5}
+        mesh_x, mesh_y = experiments._mesh_axes(from_mapping(base), 2)
+        assert mesh_y is mesh_x
+        for change in ({"y_left": -0.0}, {"y_right": 2.0},
+                       {"elements_y": 3}, {"degree_y": 6}):
+            mesh_x, mesh_y = experiments._mesh_axes(
+                from_mapping({**base, **change}), 2)
+            assert mesh_y is not mesh_x, change
+
+    def test_gaussian2d_bytes_do_not_depend_on_sharing_the_axes(
+            self, tmp_path, monkeypatch):
+        cfg = from_mapping({"kind": "gaussian2d", "elements": 2, "degree": 6,
+                            "elements_y": 2, "degree_y": 6, "modes": 6,
+                            "modes_y": 6, "eps_values": [0.0, 1.0],
+                            "tau": 0.02, "t_final": 0.04,
+                            "snapshot_times": [0.0, 0.04],
+                            "output_dir": str(tmp_path / "shared")})
+        shared = run_experiment(cfg, workers=1)
+        real_axes = experiments._mesh_axes
+
+        def apart(config, dimension):
+            axes = real_axes(config, dimension)
+            assert axes[1] is axes[0]
+            return [axes[0], dataclasses.replace(axes[0])]
+
+        monkeypatch.setattr(experiments, "_mesh_axes", apart)
+        cfg = dataclasses.replace(cfg, output_dir=str(tmp_path / "apart"))
+        separate = run_experiment(cfg, workers=1)
+        for a, b in zip(shared.paths, separate.paths, strict=True):
+            if a.endswith(".csv"):
+                assert read_bytes(a) == read_bytes(b), os.path.basename(a)
 
     def test_gaussian2d_manifest_lists_the_one_trajectory_drawn(self,
                                                                 tmp_path):

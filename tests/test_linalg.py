@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -341,6 +343,69 @@ class TestBuildMatchesSlices:
             CNSystem(B=B, B_boundary=sp.csr_matrix((3, 2)), tau=0.1)
 
 
+class TestSharedCut:
+    """B, B_boundary and B's diagonal mask are cut once per mesh object and
+    shared, read-only, by the systems of every step size on it."""
+
+    def test_two_step_sizes_assemble_d2_once(self, monkeypatch):
+        import odds_nls.mesh
+        orders = []
+
+        def counted(mesh, order=2):
+            orders.append(order)
+            return assemble_global(mesh, order)
+
+        monkeypatch.setattr(odds_nls.mesh, "assemble_global", counted)
+        mesh = build_mesh(-1.0, 1.0, 2, 16)
+        coarse, fine = (build_cn_system(mesh, tau) for tau in (0.1, 0.05))
+        assert orders == [2]
+        assert fine.B is coarse.B and fine.B_boundary is coarse.B_boundary
+        assert fine.A is not coarse.A
+        build_cn_system(dataclasses.replace(mesh), 0.05)   # a fresh copy
+        assert orders == [2, 2]
+
+    @pytest.mark.parametrize("M, J", [(1, 8), (2, 16), (10, 30)])
+    def test_a_cached_system_equals_a_fresh_build_bit_for_bit(self, M, J):
+        mesh = build_mesh(-20.0, 100.0, M, J)
+        build_cn_system(mesh, 0.5)                  # fills the mesh's store
+        cached = build_cn_system(mesh, 0.015)
+        fresh = build_cn_system(build_mesh(-20.0, 100.0, M, J), 0.015)
+        for name in ("A", "B", "B_boundary"):
+            assert same_bits(getattr(cached, name), getattr(fresh, name))
+        np.testing.assert_array_equal(cached.diagonal, fresh.diagonal)
+
+    def test_direct_system_from_the_shared_b_matches_the_build(self):
+        # without a mask, CNSystem finds and checks the diagonal itself
+        mesh = build_mesh(-1.0, 1.0, 3, 8)
+        built = build_cn_system(mesh, 0.01)
+        direct = CNSystem(B=built.B, B_boundary=built.B_boundary, tau=0.01)
+        assert same_bits(direct.A, built.A)
+        np.testing.assert_array_equal(direct.diagonal, built.diagonal)
+
+    def test_no_solve_or_derived_matrix_writes_the_shared_cut(self):
+        mesh = build_mesh(-1.0, 1.0, 3, 8)
+        systems = [build_cn_system(mesh, tau) for tau in (0.02, 0.01)]
+        shared = (systems[0].B, systems[0].B_boundary)
+        arrays = [a for m in shared for a in (m.data, m.indices, m.indptr)]
+        arrays.append(systems[0].diagonal)
+        before = [a.tobytes() for a in arrays]
+        rng = np.random.default_rng(2)
+        for system in systems:
+            for shape in ((mesh.n_nodes,), (mesh.n_nodes, 3)):
+                u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                bc = np.ones((2,) + shape[1:], complex)
+                cn_step_linear(system, u, forcing=system.boundary_forcing(
+                    bc, 2 * bc))
+            for name in ("E", "G", "G_explicit"):
+                getattr(system, name)
+            system.A.data *= 2.0                    # A owns its arrays
+            system.A.indices[:] = system.A.indices
+        assert [a.tobytes() for a in arrays] == before
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            systems[1].B.data *= 2.0
+
+
 @pytest.mark.parametrize("tau", [0.0, -0.01, np.nan, np.inf, -np.inf])
 def test_build_and_run_reject_a_tau_not_positive_and_finite(tau):
     mesh = build_mesh(-1.0, 1.0, 2, 6)
@@ -502,5 +567,6 @@ class TestOneSolvePerStep:
         run_trajectory(u0, mesh, ProblemSpec(1.0, 0.0, boundary), 0.01, 3)
         run_trajectory(np.outer(u0, u0), (mesh, mesh), ProblemSpec(), 0.01, 2,
                        options=RunOptions(record_invariants=False))
-        assert len(built) == 3
+        # the 2D run's two axes are one mesh object, with one system
+        assert len(built) == 2
         assert not any("E" in vars(system) for system in built)

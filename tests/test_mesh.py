@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -130,3 +131,29 @@ def test_mesh_is_frozen_dataclass():
     assert isinstance(mesh, OverlapMesh1D)
     with pytest.raises(AttributeError):
         mesh.dx = 0.5
+
+
+class TestSharedOperators:
+    def test_each_order_is_assembled_once_per_mesh_object(self):
+        mesh = build_mesh(-1.5, 2.5, 4, 8)
+        for order in (1, 2):
+            D = mesh.operator(order)
+            assert mesh.operator(order) is D
+            want = assemble_global(mesh, order)
+            assert D.data.tobytes() == want.data.tobytes()
+            np.testing.assert_array_equal(D.indices, want.indices)
+            np.testing.assert_array_equal(D.indptr, want.indptr)
+        assert mesh.operator(1) is not mesh.operator(2)
+        # a copy of the mesh starts with an empty store
+        assert dataclasses.replace(mesh).operator(2) is not mesh.operator(2)
+
+    def test_shared_arrays_are_read_only(self):
+        mesh = build_mesh(0.0, 1.0, 2, 5)
+        D = mesh.operator(2)
+        assert not any(a.flags.writeable
+                       for a in (D.data, D.indices, D.indptr))
+        with pytest.raises(ValueError, match="read-only"):
+            D.data[0] = 1.0
+        pair = mesh.shared("pair", lambda m: (np.ones(3, bool), D))
+        assert mesh.shared("pair", None) is pair
+        assert not pair[0].flags.writeable

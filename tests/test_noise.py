@@ -14,17 +14,17 @@ def grid():
 
 def test_single_mode_has_exact_sine_shape(grid):
     model = NoiseModel1D.build(-1.0, 1.0, grid, modes=1, seed=0)
-    inc = model.trajectory(0).increment_at(0, 0.0, 0.1)
+    inc = model.trajectory(0).grid_increments(0, 0.1)
     xi = model.trajectory(0).mode_increments(0, 0.1)
     want = xi[0] * np.sin(np.pi * (grid + 1.0) / 2.0)
-    np.testing.assert_allclose(inc.values, want, atol=1e-14)
+    np.testing.assert_allclose(inc, want, atol=1e-14)
 
 
 def test_increment_vanishes_on_boundary(grid):
     model = NoiseModel1D.build(-1.0, 1.0, grid, modes=50, seed=4)
-    inc = model.trajectory(2).increment_at(7, 0.7, 0.8)
-    assert inc.values[0] == 0.0
-    assert inc.values[-1] == 0.0
+    inc = model.trajectory(2).grid_increments(7, 0.1)
+    assert inc[0] == 0.0
+    assert inc[-1] == 0.0
 
 
 def test_mode_variance_matches_dt(grid):
@@ -43,7 +43,7 @@ def test_grid_variance_follows_kl_expansion(grid):
     # Var[dW(x)] = dt * sum_k eta_k e_k(x)^2, eta_k = 1/k^3, e_k orthonormal
     model = NoiseModel1D.build(-1.0, 1.0, grid, modes=100, seed=5)
     dt = 0.02
-    draws = np.array([model.trajectory(p).increment_at(0, 0.0, dt).values
+    draws = np.array([model.trajectory(p).grid_increments(0, dt)
                       for p in range(6000)])
     k = np.arange(1, 101)
     e2 = np.sin(np.outer(k, (grid + 1.0) * np.pi / 2.0)) ** 2
@@ -54,10 +54,10 @@ def test_grid_variance_follows_kl_expansion(grid):
 
 def test_same_key_reproduces_bitwise(grid):
     # identical (seed, trajectory, step, dt) must give identical floats even
-    # from a fresh stream object; absolute times only matter through dt
+    # from a fresh stream object
     model = NoiseModel1D.build(-1.0, 1.0, grid, modes=20, seed=9)
-    a = model.trajectory(3).increment_at(17, 0.0, 0.125).values
-    b = model.trajectory(3).increment_at(17, 4.0, 4.125).values
+    a = model.trajectory(3).grid_increments(17, 0.125)
+    b = model.trajectory(3).grid_increments(17, 0.125)
     np.testing.assert_array_equal(a, b)
 
 
@@ -95,13 +95,13 @@ def test_steps_across_chunks_drawn_in_reverse_match_fresh_streams(grid):
     steps = [R - 1, R, 2 * R + 3]
     stream = model.trajectory(2)
     back = {k: (stream.mode_increments(k, 0.01),
-                stream.increment_at(k, 0.0, 0.01).values)
+                stream.grid_increments(k, 0.01))
             for k in reversed(steps)}
     for k in steps:
         np.testing.assert_array_equal(
             back[k][0], model.trajectory(2).mode_increments(k, 0.01))
         np.testing.assert_array_equal(
-            back[k][1], model.trajectory(2).increment_at(k, 0.0, 0.01).values)
+            back[k][1], model.trajectory(2).grid_increments(k, 0.01))
 
 
 def test_reused_stream_gives_the_bytes_of_a_fresh_one(grid):
@@ -124,7 +124,7 @@ def test_path_rows_equal_increments_off_chunk_boundaries(grid, n_steps):
         stream = model.trajectory(p)
         for k in range(n_steps):
             np.testing.assert_array_equal(
-                path[k, :, j], stream.increment_at(k, 0.0, 0.003).values)
+                path[k, :, j], stream.grid_increments(k, 0.003))
 
 
 def test_chunk_projection_matches_the_explicit_mode_sum(grid):
@@ -163,7 +163,7 @@ def test_path_holds_each_trajectory_increment(grid):
         for k in range(7):
             np.testing.assert_array_equal(
                 path[k, :, j],
-                model.trajectory(p).increment_at(k, 0.0, 0.01).values)
+                model.trajectory(p).grid_increments(k, 0.01))
 
 
 def test_coarse_path_sums_the_fine_increments(grid):
@@ -172,7 +172,7 @@ def test_coarse_path_sums_the_fine_increments(grid):
     ratio = 4
     coarse = coarsen(draw_path(model, [5], 3 * ratio, tau_fine), ratio)
     fine = model.trajectory(5)
-    manual = sum(fine.increment_at(2 * ratio + r, 0.0, tau_fine).values
+    manual = sum(fine.grid_increments(2 * ratio + r, tau_fine)
                  for r in range(ratio))
     np.testing.assert_allclose(coarse[2, :, 0], manual, atol=1e-15)
 
@@ -198,17 +198,16 @@ def test_coarsen_rejects_a_ratio_that_does_not_divide_the_steps(ratio):
 
 def test_replay_returns_the_rows_of_its_path():
     path = np.arange(24.0).reshape(4, 3, 2)
-    inc = ReplayNoise(path).increment_at(2, 0.5, 0.75)
-    np.testing.assert_array_equal(inc.values, path[2])
-    assert (inc.t_from, inc.t_to) == (0.5, 0.75)
+    np.testing.assert_array_equal(ReplayNoise(path).grid_increments(2, 0.25),
+                                  path[2])
     with pytest.raises(ValueError):
-        ReplayNoise(path).increment_at(2, 0.75, 0.75)
+        ReplayNoise(path).grid_increments(2, 0.0)
 
 
 def test_rejects_nonpositive_interval(grid):
     model = NoiseModel1D.build(-1.0, 1.0, grid, modes=2, seed=0)
     with pytest.raises(ValueError):
-        model.trajectory(0).increment_at(0, 1.0, 1.0)
+        model.trajectory(0).grid_increments(0, 0.0)
     with pytest.raises(ValueError):
         model.trajectory(0).mode_increments(0, 0.0)
 
@@ -333,12 +332,12 @@ class TestNoise2D:
                                         modes_x=6, modes_y=5, seed=3)
 
     def test_shape_and_boundary(self):
-        inc = self.model.trajectory(0).increment_at(0, 0.0, 0.1)
-        assert inc.values.shape == (13, 9)
-        np.testing.assert_array_equal(inc.values[0], 0.0)
-        np.testing.assert_array_equal(inc.values[-1], 0.0)
-        np.testing.assert_array_equal(inc.values[:, 0], 0.0)
-        np.testing.assert_array_equal(inc.values[:, -1], 0.0)
+        inc = self.model.trajectory(0).grid_increments(0, 0.1)
+        assert inc.shape == (13, 9)
+        np.testing.assert_array_equal(inc[0], 0.0)
+        np.testing.assert_array_equal(inc[-1], 0.0)
+        np.testing.assert_array_equal(inc[:, 0], 0.0)
+        np.testing.assert_array_equal(inc[:, -1], 0.0)
 
     def test_tensor_construction_matches_explicit_double_sum(self):
         traj = self.model.trajectory(1)
@@ -364,9 +363,9 @@ class TestNoise2D:
         np.testing.assert_array_equal(chunk[:, :, [0, -1]], 0.0)
         step = 3 * stream.steps_per_chunk + 1
         np.testing.assert_array_equal(
-            stream.increment_at(step, 0.0, 0.25).values, 0.5 * chunk[1])
+            stream.grid_increments(step, 0.25), 0.5 * chunk[1])
 
     def test_2d_determinism(self):
-        a = self.model.trajectory(2).increment_at(3, 0.0, 0.1).values
-        b = self.model.trajectory(2).increment_at(3, 0.0, 0.1).values
+        a = self.model.trajectory(2).grid_increments(3, 0.1)
+        b = self.model.trajectory(2).grid_increments(3, 0.1)
         np.testing.assert_array_equal(a, b)

@@ -262,23 +262,22 @@ class TestRunTrajectory:
     def test_assembles_only_the_cn_operators_without_invariants(
             self, monkeypatch, dimension):
         # the first-derivative matrix serves the energy only: a run that
-        # records no invariants assembles one D2 per axis and nothing else
-        import odds_nls.linalg
-        import odds_nls.stepper
+        # records no invariants assembles one D2 per mesh object and nothing
+        # else, and in 2D both axes are one mesh object
+        import odds_nls.mesh
         orders = []
 
         def counted(mesh, order=2):
             orders.append(order)
             return assemble_global(mesh, order)
 
-        for module in (odds_nls.linalg, odds_nls.stepper):
-            monkeypatch.setattr(module, "assemble_global", counted)
+        monkeypatch.setattr(odds_nls.mesh, "assemble_global", counted)
         axes = (build_mesh(-1.0, 1.0, 2, 6),) * dimension
         u0 = np.zeros(tuple(axis.n_nodes for axis in axes), complex)
         mesh = axes if dimension == 2 else axes[0]
         run_trajectory(u0, mesh, ProblemSpec(), 0.01, 2,
                        options=RunOptions(record_invariants=False))
-        assert orders == [2] * dimension
+        assert orders == [2]
 
 
 class TestBlock:
