@@ -15,6 +15,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -80,54 +81,86 @@ def cells(values) -> list:
     raise TypeError(f"no CSV cell format for dtype {column.dtype}")
 
 
+def _cell(value) -> str:
+    """The CSV cell of one value, as cells formats it."""
+    return cells([value])[0]
+
+
 def _modulus_cells(field: np.ndarray) -> list:
     """Cells of |u| over a complex field in C order.
 
-    Python's scalar abs is used on purpose: numpy's vectorized np.abs rounds
-    the last digit differently on some values, which would change the CSVs.
+    |u| is np.hypot of the real and imaginary parts: libm's hypot, which is
+    what Python's scalar abs of a complex computes, so the cells equal
+    repr(abs(z)) (tests/test_experiments.py checks this on edge values).
+    np.abs rounds the last digit differently on some values, which would
+    change the CSVs.
     """
-    return list(map(repr, map(abs, field.ravel().tolist())))
+    return list(map(repr, np.hypot(field.real, field.imag).ravel().tolist()))
 
 
-def _repeat(value, n: int) -> list:
-    return cells([value]) * n
+def _check_column(column, one_column: bool) -> None:
+    """Raise if a cell of column would need quoting in csv.writer's dialect.
 
-
-def _csv_text(columns) -> str:
-    """Rows of equal-length cell columns, joined by ',' and ended by CRLF.
-
-    This is csv.writer's default dialect for cells it would not quote; a
-    cell it would quote raises instead.
+    One join and four substring searches test every cell of the column at
+    once. A one-column row's empty cell needs quoting too.
     """
-    n = len(columns[0])
-    if any(len(c) != n for c in columns):
-        raise ValueError("CSV columns of unequal length "
-                         f"{[len(c) for c in columns]}")
-    if n == 0:
-        return ""
-    text = "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
-    if ('"' in text or text.count(",") != n * (len(columns) - 1)
-            or text.count("\r") != n or text.count("\n") != n
-            or (len(columns) == 1 and "" in columns[0])):
+    text = column if isinstance(column, str) else "".join(column)
+    if (any(ch in text for ch in (",", '"', "\r", "\n"))
+            or (one_column and (column == "" if isinstance(column, str)
+                                else "" in column))):
         raise ValueError("a CSV cell needs quoting (it holds ',', '\"' or a "
                          "line break, or is a one-column row's empty cell)")
-    return text
+
+
+def _csv_text(columns, checked=()) -> str:
+    """Rows of a block of columns, joined by ',' and ended by CRLF.
+
+    A column is a list of cells, or one str that is the cell of every row.
+    The lists must be of equal length; a block of str columns alone is one
+    row. This is csv.writer's default dialect for cells it would not quote;
+    a cell it would quote raises instead. Columns that are (by identity) in
+    checked were checked before and are not searched again.
+    """
+    lists = [c for c in columns if not isinstance(c, str)]
+    if any(len(c) != len(lists[0]) for c in lists):
+        raise ValueError("CSV columns of unequal length "
+                         f"{[len(c) for c in lists]}")
+    for column in columns:
+        if not any(column is c for c in checked):
+            _check_column(column, len(columns) == 1)
+    n = len(lists[0]) if lists else 1
+    if n == 0:
+        return ""
+    # leading constant cells become one prefix, folded into the separator
+    lead = next((i for i, c in enumerate(columns) if not isinstance(c, str)),
+                len(columns))
+    prefix = "".join(c + "," for c in columns[:lead])
+    rest = [repeat(c, n) if isinstance(c, str) else c
+            for c in columns[lead:]]
+    if not rest:
+        return prefix[:-1] + "\r\n"
+    rows = map(",".join, zip(*rest))
+    return prefix + ("\r\n" + prefix).join(rows) + "\r\n"
 
 
 def write_csv(path: str, header, blocks) -> str:
     """Write a header row, then each block of cell columns, to a CSV file.
 
-    A block is a list with one column of cells per header field. Each block
-    is written as it comes, so a generator streams a large table through
-    memory one block at a time.
+    A block has one column per header field: a list of cells, or one str
+    for a cell repeated on every row. Each block is written as it comes, so
+    a generator streams a large table through memory one block at a time.
+    A column object given again in the next block is taken to hold the
+    same cells, and is checked for quoting only the first time.
     """
     with open(path, "w", newline="") as fh:
-        fh.write(_csv_text([[name] for name in header]))
+        fh.write(_csv_text(list(header)))
+        previous = ()
         for columns in blocks:
             if len(columns) != len(header):
                 raise ValueError(f"{len(columns)} columns for "
                                  f"{len(header)} header fields")
-            fh.write(_csv_text(columns))
+            fh.write(_csv_text(columns, previous))
+            previous = columns
     return path
 
 
@@ -203,8 +236,16 @@ def _farm(builder, job_fn, jobs, workers):
 def _series(runs, name: str):
     """One block of (trajectory, time, value) cells per run for an invariant."""
     for p, res in runs:
-        yield [_repeat(p, res.times.size), cells(res.times),
-               cells(getattr(res, name))]
+        yield [_cell(p), cells(res.times), cells(getattr(res, name))]
+
+
+def _charge_drift(series) -> float | None:
+    """Worst |q - q0| / |q0| over charge series, each against its first.
+
+    None when no series has a sample (no run succeeded).
+    """
+    return max((float(np.max(np.abs(q - q[0])) / abs(q[0]))
+                for q in map(np.asarray, series) if q.size), default=None)
 
 
 def _n_steps(config: ExperimentConfig) -> int:
@@ -326,8 +367,8 @@ def run_trajectories_1d(config: ExperimentConfig,
     t0 = time.perf_counter()
     dirpath = output_dir(config, config.kind)
     xs = cells(mesh.nodes)
-    snapshots = ([_repeat(p, len(xs)), _repeat(step * config.tau, len(xs)),
-                  xs, *(values(u) for _, values in columns)]
+    snapshots = ([_cell(p), _cell(step * config.tau), xs,
+                  *(values(u) for _, values in columns)]
                  for p, res in runs
                  for step, u in sorted(res.snapshots.items()))
     paths = [
@@ -352,7 +393,9 @@ def run_trajectories_1d(config: ExperimentConfig,
             [[cells(runs[0][1].times), cells(energies.mean(axis=0))]]))
     stages = {"run": t_run, "write": time.perf_counter() - t0}
     man = _manifest(config, trajectories, stages, paths, failures,
-                    extra=_time_grid(config))
+                    extra={"charge_drift": _charge_drift(
+                               res.charge for _, res in runs),
+                           **_time_grid(config)})
     paths.append(_write_manifest(dirpath, man))
     return RunResult(man, paths)
 
@@ -389,15 +432,19 @@ def run_gaussian2d(config: ExperimentConfig, workers: int = 1) -> RunResult:
              for step, field in sorted(res.snapshots.items())]
 
     def surfaces():
-        # one block per x line, so the text in memory stays a line long
+        # one block per snapshot, so the text in memory stays one snapshot
+        # long; the x and y columns are the same objects in every block
         xs, ys = cells(mesh_x.nodes), cells(mesh_y.nodes)
+        x_col = [x for x in xs for _ in ys]
+        y_col = ys * len(xs)
         for eps, t, field in snaps:
-            eps_col, t_col = _repeat(eps, len(ys)), _repeat(t, len(ys))
-            for x, line in zip(xs, field):
-                yield [eps_col, t_col, [x] * len(ys), ys, _modulus_cells(line)]
+            yield [_cell(eps), _cell(t), x_col, y_col, _modulus_cells(field)]
 
     charges = [discrete_charge(field, mesh_x.nodes, mesh_y.nodes)
                for _, _, field in snaps]
+    # each run's snapshot charges, in the order charge.csv writes them
+    per_run = np.split(np.array(charges), np.cumsum(
+        [len(res.snapshots) for _, res in runs])[:-1])
     paths = [
         write_csv(os.path.join(dirpath, "surfaces.csv"),
                   ["eps (dimensionless)", "time (time units)",
@@ -412,6 +459,7 @@ def run_gaussian2d(config: ExperimentConfig, workers: int = 1) -> RunResult:
     stages["write"] = time.perf_counter() - t0
     man = _manifest(config, [0], stages, paths, failures,
                     extra={"eps_sweep": list(eps_values),
+                           "charge_drift": _charge_drift(per_run),
                            **_time_grid(config)})
     paths.append(_write_manifest(dirpath, man))
     return RunResult(man, paths)

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 from functools import partial
 
@@ -125,6 +126,123 @@ class TestCSVWriter:
         with pytest.raises(ValueError, match="quoting"):
             write_csv(str(tmp_path / "t.csv"), ["a", cell], [])
 
+    def test_constant_columns_mixed_with_lists(self, tmp_path):
+        # a str column is the same cell on every row, leading or not
+        blocks = [["odds", "3", ["-0.0", "0.1"], "x", ["1", "2"]],
+                  ["smm", ["4"], "nan", ["5e-324"], ["7"]]]
+        rows = [("odds", "3", "-0.0", "x", "1"),
+                ("odds", "3", "0.1", "x", "2"),
+                ("smm", "4", "nan", "5e-324", "7")]
+        path = write_csv(str(tmp_path / "t.csv"), self.header, blocks)
+        assert read_bytes(path) == csv_module_bytes(self.header, rows)
+
+    def test_block_of_constants_only_is_one_row(self, tmp_path):
+        blocks = [["a", "1", "2", "0.5", "b"], ["c", "3", "4", "1.5", "d"]]
+        path = write_csv(str(tmp_path / "t.csv"), self.header, blocks)
+        assert read_bytes(path) == csv_module_bytes(self.header, blocks)
+        path = write_csv(str(tmp_path / "one.csv"), ["a"], [["x"], ["y"]])
+        assert read_bytes(path) == csv_module_bytes(["a"], [["x"], ["y"]])
+
+    def test_zero_row_block_writes_nothing(self, tmp_path):
+        blocks = [["odds", [], "1", [], []],
+                  ["smm", ["1"], "2", ["3"], ["4"]],
+                  ["fdscn", [], [], [], "5"]]
+        path = write_csv(str(tmp_path / "t.csv"), self.header, blocks)
+        assert read_bytes(path) == csv_module_bytes(
+            self.header, [("smm", "1", "2", "3", "4")])
+
+    def test_column_reused_across_blocks(self, tmp_path):
+        xs, ys = ["0.0", "0.5"], ["-1", "1"]
+        blocks = [["a", "0", xs, ys, ["1", "2"]],
+                  ["b", "1", xs, ys, ["3", "4"]],
+                  ["c", "2", ys, ys, ["5", "6"]],
+                  ["d", "3", xs, ys, ["7", "8"]]]
+        rows = [(label, t, x, y, u) for label, t, xc, yc, uc in blocks
+                for x, y, u in zip(xc, yc, uc)]
+        path = write_csv(str(tmp_path / "t.csv"), self.header, blocks)
+        assert read_bytes(path) == csv_module_bytes(self.header, rows)
+
+    @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r"])
+    def test_forbidden_cell_in_constant_or_reused_column_raises(
+            self, tmp_path, cell):
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(str(tmp_path / "t.csv"), ["a", "b"],
+                      [[cell, ["1", "2"]]])
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[cell, "1"]])
+        # a constant is checked in a block of no rows too
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[cell, []]])
+        # a reused column is checked where it first appears
+        reused = ["ok", cell]
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(str(tmp_path / "t.csv"), ["a", "b"],
+                      [[["1", "2"], "x"], [reused, ["1", "2"]],
+                       [reused, ["3", "4"]]])
+
+        def gap_then_changed():
+            # only a column of the block just written skips the check
+            column = ["ok", "ok"]
+            yield [column, ["1", "2"]]
+            yield [["3"], "x"]
+            column[1] = cell
+            yield [column, ["5", "6"]]
+
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(str(tmp_path / "t.csv"), ["a", "b"], gap_then_changed())
+
+    def test_one_column_empty_constant_raises(self, tmp_path):
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(str(tmp_path / "t.csv"), ["a"], [["x"], [""]])
+        with pytest.raises(ValueError, match="quoting"):
+            write_csv(str(tmp_path / "t.csv"), ["a"], [[["x", ""]]])
+
+
+class TestModulusCells:
+    # edge values of one part of a complex: signed zeros, subnormals, the
+    # smallest normal, scales out to the largest double, inf and nan
+    PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320,
+             2.2250738585072014e-308, -1e-308, 1e-300, 1e-200, 1.0 / 3.0,
+             -1.0, 1e200, -1e300, 1e308, 1.7976931348623157e308,
+             math.inf, -math.inf, math.nan]
+
+    @staticmethod
+    def python_abs(z):
+        """abs(z), or None where Python raises on an overflowing modulus."""
+        try:
+            return abs(z)
+        except OverflowError:
+            return None
+
+    def test_hypot_equals_python_abs_bit_for_bit(self):
+        # _modulus_cells takes |u| as np.hypot(re, im); the CSVs were first
+        # written with Python's abs of each complex, so the two must agree
+        # to the bit, or the CSV bytes would change
+        rng = np.random.default_rng(7)
+        mantissas = rng.uniform(1.0, 10.0, 4000) * rng.choice([-1, 1], 4000)
+        scaled = mantissas * 10.0 ** rng.integers(-308, 308, 4000)
+        re, im = np.meshgrid(self.PARTS, self.PARTS)
+        re = np.concatenate([re.ravel(), scaled[:2000], scaled[:2000]])
+        im = np.concatenate([im.ravel(), scaled[2000:], scaled[:2000] * 0.5])
+        with np.errstate(over="ignore"):
+            got = np.hypot(re, im)
+        for a, b, h in zip(re.tolist(), im.tolist(), got.tolist()):
+            want = self.python_abs(complex(a, b))
+            if want is None:
+                # overflow: Python raises where hypot rounds to inf
+                assert h == math.inf, (a, b)
+            elif math.isnan(want):
+                assert math.isnan(h), (a, b, h)
+            else:
+                assert np.float64(h).view(np.uint64) == np.float64(
+                    want).view(np.uint64), (a, b, h, want)
+
+    def test_cells_are_repr_of_python_abs(self):
+        finite = [p for p in self.PARTS if abs(p) < 1e300] + [math.nan]
+        field = np.array([[complex(a, b) for b in finite] for a in finite])
+        want = [repr(abs(z)) for z in field.ravel().tolist()]
+        assert experiments._modulus_cells(field) == want
+
 
 class TestSolitonRunner:
     def test_artifacts_and_manifest(self, tmp_path):
@@ -185,6 +303,47 @@ class TestSolitonRunner:
         assert grid["realised_t_final"] == pytest.approx(10.005, abs=1e-12)
         assert grid["realised_snapshot_times"][1:] == [
             333 * 0.015, 667 * 0.015]
+
+    def test_manifest_charge_drift_matches_charge_csv(self, tmp_path):
+        # soliton1d and collision1d key charge.csv by trajectory, gaussian2d
+        # by eps; the manifest holds the worst drift over the keys
+        configs = [
+            tiny_soliton(tmp_path, eps=1.0),
+            from_mapping({"kind": "collision1d", "x_left": -10.0,
+                          "x_right": 40.0, "elements": 3, "degree": 8,
+                          "modes": 20, "trajectories": 2, "eps": 1.0,
+                          "tau": 0.02, "t_final": 0.06,
+                          "snapshot_times": [0.0], "invariant_stride": 1,
+                          "output_dir": str(tmp_path)}),
+            from_mapping({"kind": "gaussian2d", "elements": 2, "degree": 5,
+                          "elements_y": 2, "degree_y": 5, "modes": 6,
+                          "modes_y": 6, "eps_values": [0.0, 2.0],
+                          "tau": 0.02, "t_final": 0.04,
+                          "snapshot_times": [0.0, 0.02, 0.04],
+                          "output_dir": str(tmp_path)}),
+        ]
+        for cfg in configs:
+            result = run_experiment(cfg, workers=1)
+            path = [p for p in result.paths if p.endswith("charge.csv")][0]
+            with open(path) as fh:
+                rows = list(csv.reader(fh))[1:]
+            first, worst = {}, 0.0
+            for key, _, charge in rows:
+                q0 = first.setdefault(key, float(charge))
+                worst = max(worst, abs(float(charge) - q0) / abs(q0))
+            assert len(first) == 2, cfg.kind
+            assert result.manifest["charge_drift"] == worst, cfg.kind
+            assert 0.0 < worst < 1e-2, cfg.kind
+
+    def test_charge_drift_is_null_when_no_run_succeeded(self, tmp_path,
+                                                        monkeypatch):
+        hopeless = SolverOptions(residual_tol=1e-30, max_krylov=4,
+                                 max_restarts=2)
+        monkeypatch.setattr(experiments, "RunOptions",
+                            partial(RunOptions, solver=hopeless))
+        result = run_experiment(tiny_soliton(tmp_path), workers=1)
+        assert len(result.manifest["failures"]) == 2
+        assert result.manifest["charge_drift"] is None
 
     def test_csv_headers_carry_units(self, tmp_path):
         cfg = tiny_soliton(tmp_path)
@@ -292,6 +451,47 @@ class TestOtherRunners:
             header = next(csv.reader(fh))
         assert read_bytes(paths["charge.csv"]) == csv_module_bytes(
             header, charge_rows)
+
+    def test_gaussian2d_surfaces_pinned_one_snapshot_per_block(
+            self, tmp_path, monkeypatch):
+        # equal 2 x 8 axes, 2 steps: surfaces.csv is csv.writer's rendering
+        # of (eps, t, x, y, abs(u)) from the run's own snapshots, and the
+        # writer holds one snapshot's rows at a time
+        runs, texts = [], []
+
+        def recording(*args, **kwargs):
+            runs.append(real_run(*args, **kwargs))
+            return runs[-1]
+
+        def block_text(columns, checked=()):
+            texts.append(real_text(columns, checked))
+            return texts[-1]
+
+        real_run, real_text = experiments.run_trajectory, experiments._csv_text
+        monkeypatch.setattr(experiments, "run_trajectory", recording)
+        monkeypatch.setattr(experiments, "_csv_text", block_text)
+        cfg = from_mapping({"kind": "gaussian2d", "elements": 2, "degree": 8,
+                            "elements_y": 2, "degree_y": 8, "modes": 6,
+                            "modes_y": 6, "eps_values": [0.0, 0.5],
+                            "tau": 0.02, "t_final": 0.04,
+                            "snapshot_times": [0.0, 0.02, 0.04],
+                            "output_dir": str(tmp_path)})
+        result = run_experiment(cfg, workers=1)
+        nodes = build_mesh(cfg.x_left, cfg.x_right, cfg.elements,
+                           cfg.degree).nodes
+        rows = [(eps, step * cfg.tau, x, y, abs(field[i, j]))
+                for eps, res in zip(cfg.eps_values, runs)
+                for step, field in sorted(res.snapshots.items())
+                for i, x in enumerate(nodes) for j, y in enumerate(nodes)]
+        path = [p for p in result.paths if p.endswith("surfaces.csv")][0]
+        with open(path) as fh:
+            header = next(csv.reader(fh))
+        assert read_bytes(path) == csv_module_bytes(header, rows)
+        # the header, then one block per snapshot (the charge.csv texts
+        # follow)
+        n_snaps = len(cfg.eps_values) * len(cfg.snapshot_times)
+        blocks = [t.count("\r\n") for t in texts[1:1 + n_snaps]]
+        assert blocks == [nodes.size ** 2] * n_snaps
 
     def test_convergence_table_and_order(self, tmp_path):
         cfg = from_mapping({"kind": "convergence", "elements": 2, "degree": 6,
