@@ -14,11 +14,14 @@ Dirichlet data:
 
 Each scheme has one step for one or two axes; on two axes it is the
 tensor form of the same step, so SMM2D and FDSCN2D only build the tensor
-operators. Both resolve their implicit stage by fixed-point iteration.
-The linear part S + i theta tau L is constant, so each scheme solves it in
-complex form with one LU factor (LUSolver, as the collocation stepper
-does), built on the first step and reused by every iteration of every later
-step.
+operators. Both resolve their implicit stage by fixed-point iteration, and
+count its iterations. The linear part S + i theta tau L is constant, so each
+scheme solves it in complex form with one factor, built on the first step
+and reused by every iteration of every later step. On one axis the matrix
+is tridiagonal: its three diagonals are formed from h, theta and tau, and
+LAPACK's tridiagonal LU solves it (TridiagonalSolver). On two axes it is a
+Kronecker sum, solved through its sparse LU factor (LUSolver, as the
+collocation stepper does).
 """
 
 import functools
@@ -30,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import KrylovError, LUSolver, SolverOptions
+from .linalg import (KrylovError, LUSolver, SolverOptions, Tridiagonal,
+                     TridiagonalSolver)
 from .stepper import StepFailure, state_sha256
 
 FP_TOL = 1e-12
@@ -54,20 +58,6 @@ def uniform_grid_1d(x_left: float, x_right: float, n_points: int) -> UniformGrid
     return UniformGrid1D(x_left, x_right, nodes, nodes[1] - nodes[0])
 
 
-def laplacian_1d(n_interior: int, h: float) -> sp.csr_matrix:
-    """Second-difference matrix on the interior of a zero-Dirichlet grid."""
-    main = np.full(n_interior, -2.0)
-    off = np.ones(n_interior - 1)
-    return sp.diags([off, main, off], (-1, 0, 1), format="csr") / h ** 2
-
-
-def averaging_1d(n_interior: int) -> sp.csr_matrix:
-    """Half-node box average pushed back to nodes: tridiag(1, 2, 1)/2."""
-    main = np.full(n_interior, 1.0)
-    off = np.full(n_interior - 1, 0.5)
-    return sp.diags([off, main, off], (-1, 0, 1), format="csr")
-
-
 class FixedPointError(RuntimeError):
     """A fixed point missed its tolerance; residual is its last update."""
 
@@ -76,21 +66,22 @@ class FixedPointError(RuntimeError):
         self.residual = residual
 
 
-def _fixed_point(apply_rhs, lu: LUSolver, v0, opts, label: str
-                 ) -> np.ndarray:
+def _fixed_point(apply_rhs, lu: LUSolver | TridiagonalSolver, v0, opts,
+                 label: str) -> tuple[np.ndarray, int]:
     """Iterate v <- A^{-1} rhs(v) until the max-norm update stalls below tol.
 
-    An update that is not finite, or that grows while still above tol,
-    means the iteration runs away: it raises FixedPointError at once.
+    Returns v and the number of iterations (solves) it took. An update that
+    is not finite, or that grows while still above tol, means the iteration
+    runs away: it raises FixedPointError at once.
     """
     v = v0
     last = math.inf
-    for _ in range(FP_MAXITER):
+    for k in range(1, FP_MAXITER + 1):
         v_new = lu.solve(apply_rhs(v), opts)
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
         if delta <= FP_TOL * max(1.0, float(np.max(np.abs(v_new)))):
-            return v
+            return v, k
         if not math.isfinite(delta) or delta > last:
             raise FixedPointError(f"{label} fixed point runs away: update "
                                   f"{delta:.3e} after {last:.3e}",
@@ -119,7 +110,11 @@ def _centres(u: np.ndarray) -> np.ndarray:
 
 
 def _half_cubic(u: np.ndarray) -> np.ndarray:
-    """Sum of |.|^2 (.) over the cell centres around each interior node."""
+    """Sum of |.|^2 (.) over the cell centres around each interior node.
+
+    This and _half_pair state SMM's terms; SMM1D.step forms both from one
+    shared _centres pass.
+    """
     centre = _centres(u)
     return _corner_sum(np.abs(centre) ** 2 * centre)
 
@@ -129,30 +124,48 @@ def _half_pair(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _corner_sum(_centres(u) * _centres(w))
 
 
-def _tensor_operators(grids, averaged: bool):
-    """Weight W and Laplacian L on the interior of a grid of one or two axes.
+def _axis_operators(grid: UniformGrid1D, averaged: bool):
+    """Weight W and Laplacian L on the interior of one zero-Dirichlet axis.
 
-    Each axis has its second-difference matrix L and its weight W, the
-    half-node averaging matrix when averaged, else the identity. On two axes
-    the interior is flattened in C order, W = Wx (x) Wy and
-    L = Lx (x) Wy + Wx (x) Ly.
+    Both are Tridiagonal: L = tridiag(1, -2, 1)/h^2, and W is the half-node
+    box average pushed back to nodes, tridiag(1, 2, 1)/2, when averaged,
+    else the identity.
     """
-    ns = [grid.nodes.size - 2 for grid in grids]
-    Ws = [averaging_1d(n) if averaged else sp.identity(n) for n in ns]
-    Ls = [laplacian_1d(n, grid.h) for n, grid in zip(ns, grids)]
-    W, L = Ws[0], Ls[0]
-    for W_axis, L_axis in zip(Ws[1:], Ls[1:]):
-        W, L = sp.kron(W, W_axis), sp.kron(L, W_axis) + sp.kron(W, L_axis)
-    return W.tocsr(), L.tocsr()
+    n = grid.nodes.size - 2
+    off = np.full(n - 1, 0.5 if averaged else 0.0)
+    inv_h2 = 1.0 / grid.h ** 2
+    side = np.full(n - 1, inv_h2)
+    return (Tridiagonal(off, np.ones(n), off),
+            Tridiagonal(side, np.full(n, -2.0 * inv_h2), side))
+
+
+def _tensor_operators(grids, averaged: bool):
+    """Weight W and Laplacian L on the interior of a rectangle, as CSR.
+
+    Each axis has the W and L of _axis_operators; an identity W is stored
+    without its zero off-diagonals. The interior is flattened in C order,
+    W = Wx (x) Wy and L = Lx (x) Wy + Wx (x) Ly.
+    """
+    Ws, Ls = [], []
+    for grid in grids:
+        W, L = (sp.diags(T.diagonals, (-1, 0, 1), format="csr")
+                for T in _axis_operators(grid, averaged))
+        Ws.append(W if averaged else sp.identity(W.shape[0]))
+        Ls.append(L)
+    (Wx, Wy), (Lx, Ly) = Ws, Ls
+    return (sp.kron(Wx, Wy).tocsr(),
+            (sp.kron(Lx, Wy) + sp.kron(Wx, Ly)).tocsr())
 
 
 class _UniformScheme:
     """Parameters and constant implicit matrix of a reference scheme.
 
-    lu solves with A = S + i theta tau L, with S and L from
-    _tensor_operators on the scheme's grids: S is the averaging weight when
-    averaged, else the identity. The step works on the interior of a field
-    of one or two axes, flattened in C order to solve with A.
+    lu solves with A = S + i theta tau L: S is the averaging weight when
+    averaged, else the identity. On one axis S, L and A are Tridiagonal, from
+    _axis_operators, and lu is a TridiagonalSolver; on two, S and L come
+    from _tensor_operators and lu is an LUSolver. The step works on the interior of a field of one
+    or two axes, flattened in C order to solve with A. fixed_point_iterations
+    counts the solves of every step taken so far.
     """
 
     averaged: bool
@@ -166,8 +179,22 @@ class _UniformScheme:
         self.lam = lam
         self.eps = eps
         self.opts = opts or SolverOptions()
-        self.S, self.L = _tensor_operators(grids, self.averaged)
-        self.lu = LUSolver(self.S + 1j * self.theta * tau * self.L)
+        self.fixed_point_iterations = 0
+        coefficient = 1j * self.theta * tau
+        if len(grids) == 1:
+            self.S, self.L = _axis_operators(grids[0], self.averaged)
+            self.lu = TridiagonalSolver(Tridiagonal(*(
+                s + coefficient * l
+                for s, l in zip(self.S.diagonals, self.L.diagonals))))
+        else:
+            self.S, self.L = _tensor_operators(grids, self.averaged)
+            self.lu = LUSolver(self.S + coefficient * self.L)
+
+    def _fixed_point(self, apply_rhs, v0, label: str) -> np.ndarray:
+        """_fixed_point with lu and opts, counting its iterations."""
+        v, iterations = _fixed_point(apply_rhs, self.lu, v0, self.opts, label)
+        self.fixed_point_iterations += iterations
+        return v
 
 
 class SMM1D(_UniformScheme):
@@ -190,18 +217,21 @@ class SMM1D(_UniformScheme):
         inner = (slice(1, -1),) * u.ndim
         un = u[inner].reshape(-1)
         su = self.S @ un
-        if self.eps != 0.0:
-            wdot = dw / self.tau
+        noisy = self.eps != 0.0
+        if noisy:
+            wdot = _centres(dw / self.tau)
+        vfull = np.zeros_like(u)        # each iterate, on zero edges
 
         def rhs(v):
-            vfull = np.zeros_like(u)
+            # _half_cubic and _half_pair of vfull, from one _centres pass
             vfull[inner] = v.reshape(self.shape)
-            g = self.lam * _half_cubic(vfull)
-            if self.eps != 0.0:
-                g = g + self.eps * _half_pair(vfull, wdot)
+            centre = _centres(vfull)
+            g = self.lam * _corner_sum(np.abs(centre) ** 2 * centre)
+            if noisy:
+                g = g + self.eps * _corner_sum(centre * wdot)
             return su - 0.5j * self.tau * g.reshape(-1)
 
-        v = _fixed_point(rhs, self.lu, un.copy(), self.opts, "SMM")
+        v = self._fixed_point(rhs, un.copy(), "SMM")
         full = np.zeros_like(u)
         full[inner] = (2.0 * v - un).reshape(self.shape)
         return full
@@ -232,7 +262,7 @@ class FDSCN1D(_UniformScheme):
             factor = self.lam / 4.0 * (sq_n + np.abs(star) ** 2)
             return flat - 1j * self.tau * factor * m
 
-        m = _fixed_point(rhs, self.lu, flat.copy(), self.opts, "FDSCN")
+        m = self._fixed_point(rhs, flat.copy(), "FDSCN")
         return (2.0 * m - flat).reshape(un.shape)
 
     def step(self, u: np.ndarray, dw: np.ndarray | None = None) -> np.ndarray:

@@ -6,6 +6,7 @@ config file, then ``--set key=value`` overrides.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import yaml
@@ -60,6 +61,16 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; "
                               f"expected one of {', '.join(KINDS)}")
+        for f in fields(self):
+            if f.name in _TUPLE_FIELDS:
+                values = getattr(self, f.name)
+            elif f.type is float:
+                values = (getattr(self, f.name),)
+            else:
+                continue
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"{f.name} must be finite, got "
+                                  f"{getattr(self, f.name)!r}")
         if self.x_right <= self.x_left:
             raise ConfigError("x_right must exceed x_left")
         two_d = (self.kind == "gaussian2d"

@@ -204,8 +204,8 @@ def _failure(config: ExperimentConfig, exc: StepFailure, **where) -> dict:
 def _write_manifest(dirpath: str, man: dict) -> str:
     path = os.path.join(dirpath, "manifest.json")
     with open(path, "w") as fh:
-        json.dump(man, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        # one write: json.dump would write each of the encoder's chunks
+        fh.write(json.dumps(man, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -549,8 +549,10 @@ def _timed_run(config: ExperimentConfig, name: str, n_steps: int,
                starts: dict):
     """(points per axis, run(rep)) of one scheme at config.dimension.
 
-    starts holds the axes, initial field and noise model of each grid built
-    so far, keyed by its grid_axes; schemes on one grid share them.
+    run(rep) returns the fixed-point iterations the repeat's steps took, or
+    None for a scheme without a fixed point. starts holds the axes, initial
+    field and noise model of each grid built so far, keyed by its
+    grid_axes; schemes on one grid share them.
     """
     grid_axes, steppers = _SCHEMES[name]
     if grid_axes not in starts:
@@ -576,6 +578,7 @@ def _timed_run(config: ExperimentConfig, name: str, n_steps: int,
                 *axes, config.tau, config.lam, config.eps)
             run_uniform_trajectory(method, u0, n_steps,
                                    noise=model.trajectory(rep))
+            return method.fixed_point_iterations
 
     return axes[0].nodes.size, once
 
@@ -591,14 +594,18 @@ def run_efficiency(config: ExperimentConfig, workers: int = 1) -> RunResult:
     rows = []
     medians = {}
     stages = {}
+    iterations = {}
     for name, points, once in setups:
         t0 = time.perf_counter()
         times = []
+        counts = []
         for rep in reps:
             t1 = time.perf_counter()
-            once(rep)
+            counts.append(once(rep))
             times.append(time.perf_counter() - t1)
         stages[name] = time.perf_counter() - t0
+        if counts[0] is not None:
+            iterations[name] = sum(counts) / (config.repeats * n_steps)
         med = statistics.median(times)
         medians[name] = med
         rows.append((name, config.dimension, points, n_steps, config.repeats,
@@ -614,6 +621,7 @@ def run_efficiency(config: ExperimentConfig, workers: int = 1) -> RunResult:
     stages["write"] = time.perf_counter() - t0
     man = _manifest(config, reps, stages, paths, [],
                     extra={"medians": medians,
+                           "fixed_point_iterations": iterations,
                            **_time_grid(config, snapshots=False)})
     paths.append(_write_manifest(dirpath, man))
     return RunResult(man, paths, data=medians)

@@ -18,7 +18,9 @@ on the mesh and tau, so every time step solves it with one complex sparse
 LU factor (LUSolver), built on the first solve. One matvec checks the
 factor's solution against the max-norm residual target (krylov_solve,
 krylov_solve_block for many right-hand sides); only a solution that misses
-it is refined by SciPy's restarted GMRES.
+it is refined by SciPy's restarted GMRES. TridiagonalSolver keeps the same
+contract for a tridiagonal matrix, through LAPACK's tridiagonal LU; the 1D
+reference schemes solve with it.
 
 CNSystem.E, and G and G_explicit, A and E over the reals acting on the
 stacked vector [imag; real] (stack_real), are built on request; no solve
@@ -30,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg.lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
@@ -40,8 +43,9 @@ from .mesh import OverlapMesh1D, assemble_global  # noqa: F401
 class KrylovError(RuntimeError):
     """Raised when a linear solve does not reach the residual target.
 
-    krylov_solve raises it, and so every LUSolver solve; residual is the
-    max-norm residual reached, NaN when the data were not finite.
+    krylov_solve raises it, and so every LUSolver and TridiagonalSolver
+    solve; residual is the max-norm residual reached, NaN when the data were
+    not finite.
     """
 
     def __init__(self, message: str, residual: float):
@@ -145,6 +149,65 @@ class LUSolver:
         if self._lu is None:
             self._lu = scipy.sparse.linalg.splu(sp.csc_matrix(self.A))
         x = self._lu.solve(b)
+        if b.ndim == 1:
+            return krylov_solve(self.A, b, x, opts)
+        return krylov_solve_block(self.A, b, x, opts)
+
+
+class Tridiagonal:
+    """A square tridiagonal matrix held as its three diagonals.
+
+    diagonals is (lower, diag, upper): the sub-, main and super-diagonal. It
+    has the shape, @ and toarray of a matrix; @ takes one vector or every
+    column of a block.
+    """
+
+    def __init__(self, lower: np.ndarray, diag: np.ndarray,
+                 upper: np.ndarray):
+        self.diagonals = (lower, diag, upper)
+        self.shape = (diag.size, diag.size)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        col = (slice(None),) + (None,) * (np.ndim(x) - 1)
+        lower, diag, upper = (d[col] for d in self.diagonals)
+        y = diag * x
+        y[1:] += lower * x[:-1]
+        y[:-1] += upper * x[1:]
+        return y
+
+    def toarray(self) -> np.ndarray:
+        lower, diag, upper = self.diagonals
+        return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+
+
+class TridiagonalSolver:
+    """Solves with one constant complex tridiagonal matrix, as LUSolver does.
+
+    LAPACK's tridiagonal LU (zgttrf) is computed on the first solve, so
+    building the owner costs no factorization, and each solve is one zgttrs
+    call.
+    """
+
+    def __init__(self, A: Tridiagonal):
+        self.A = A
+        self._lu = None
+
+    def solve(self, b: np.ndarray, opts: SolverOptions | None = None
+              ) -> np.ndarray:
+        """Solve A x = b for one vector b or every column of a block b.
+
+        The factor's solution goes through the residual check of
+        LUSolver.solve: krylov_solve (krylov_solve_block for a block)
+        refines only a solution that misses opts.residual_tol, and raises
+        KrylovError when GMRES misses it too, and at once when the residual
+        is not finite (a NaN or inf in b).
+        """
+        if self._lu is None:
+            *lu, info = scipy.linalg.lapack.zgttrf(*self.A.diagonals)
+            if info:
+                raise np.linalg.LinAlgError("tridiagonal matrix is singular")
+            self._lu = lu
+        x, _ = scipy.linalg.lapack.zgttrs(*self._lu, b)
         if b.ndim == 1:
             return krylov_solve(self.A, b, x, opts)
         return krylov_solve_block(self.A, b, x, opts)

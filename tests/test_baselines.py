@@ -279,11 +279,16 @@ class TestDriver:
     @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
     def test_each_scheme_factors_its_matrix_once(self, monkeypatch,
                                                  dimension):
+        # a 1D matrix is tridiagonal and factored by LAPACK's zgttrf, a 2D
+        # Kronecker sum by SuperLU
+        import scipy.linalg.lapack
         import scipy.sparse.linalg
         calls = []
-        real = scipy.sparse.linalg.splu
-        monkeypatch.setattr(scipy.sparse.linalg, "splu",
-                            lambda A: calls.append(A.shape) or real(A))
+        splu, zgttrf = scipy.sparse.linalg.splu, scipy.linalg.lapack.zgttrf
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda A: (
+            calls.append(("splu", A.shape)) or splu(A)))
+        monkeypatch.setattr(scipy.linalg.lapack, "zgttrf", lambda *d: (
+            calls.append(("zgttrf", d[1].shape * 2)) or zgttrf(*d)))
         grid = uniform_grid_1d(-2.0, 2.0, 21)
         line = np.sin(np.pi * (grid.nodes + 2.0) / 4.0) + 0j
         u0 = line if dimension == 1 else np.outer(line, line)
@@ -294,7 +299,8 @@ class TestDriver:
         for m in schemes:
             run_uniform_trajectory(m, u0, 3)
         size = 19 ** dimension
-        assert calls == [(size, size), (size, size)]
+        factor = ("zgttrf", "splu")[dimension - 1]
+        assert calls == [(factor, (size, size))] * 2
 
     def test_increments_are_drawn_over_exactly_tau(self):
         grid = uniform_grid_1d(-2.0, 2.0, 9)

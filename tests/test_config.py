@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -59,6 +60,21 @@ class TestValidation:
         cfg = dataclasses.replace(builtin_configs()["convergence"], **changes)
         with pytest.raises(ConfigError, match="whole number of steps"):
             cfg.validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", [
+        "x_left", "x_right", "y_left", "y_right", "lam", "eps", "tau",
+        "t_final", "tau_ref", "snapshot_times", "tau_ladder", "eps_values"])
+    def test_rejects_non_finite_floats(self, name, value):
+        # every float field, and each entry of the float lists: a tau=nan
+        # run used to pass validation and fail later, inside round()
+        kind = "convergence" if name.startswith("tau_") else "gaussian2d"
+        base = builtin_configs()[kind]
+        old = getattr(base, name)
+        new = (*old[:-1], value) if isinstance(old, tuple) else value
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            dataclasses.replace(base, **{name: new}).validate()
 
     def test_rejects_bad_efficiency_fields(self):
         base = builtin_configs()["efficiency"]

@@ -26,7 +26,7 @@ from odds_nls.mesh import build_mesh
 from odds_nls.noise import (CHUNK_NORMALS, NoiseModel1D, NoiseModel2D,
                             TrajectoryNoise)
 from odds_nls.observables import trapezoid_weights
-from odds_nls.linalg import SolverOptions
+from odds_nls.linalg import SolverOptions, TridiagonalSolver
 from odds_nls.stepper import RunOptions, StepFailure, state_sha256
 
 
@@ -263,6 +263,20 @@ class TestSolitonRunner:
         mpath = [p for p in result.paths if p.endswith("manifest.json")][0]
         with open(mpath) as fh:
             assert json.load(fh) == man
+
+    def test_manifest_bytes_match_json_dump(self, tmp_path):
+        # one write of json.dumps gives the bytes json.dump wrote chunk by
+        # chunk, non-ASCII text, non-finite floats and nesting included
+        man = experiments._manifest(
+            builtin_configs()["gaussian2d"], range(2), {"run": 0.125},
+            ["a/surfaces.csv"], [{"error": "résidu", "time": 1e-300}],
+            extra={"charge_drift": {"1.0": None, "0.5": math.nan},
+                   "medians": {"odds": math.inf, "smm": [0.1, -0.0]}})
+        path = experiments._write_manifest(str(tmp_path), man)
+        old = io.StringIO()
+        json.dump(man, old, indent=2, sort_keys=True)
+        old.write("\n")
+        assert read_bytes(path) == old.getvalue().encode()
 
     def test_failure_record_replays_its_step(self, tmp_path, monkeypatch):
         # an unsolvable tolerance fails each trajectory at step 0; its
@@ -599,6 +613,41 @@ class TestOtherRunners:
         assert result.manifest["per_trajectory_seeds"] == [[0, 0], [0, 1],
                                                            [0, 2]]
         assert "write" in result.manifest["stage_seconds"]
+        # each of SMM and FDSCN takes at least one fixed-point iteration
+        # (one solve) per step
+        iterations = result.manifest["fixed_point_iterations"]
+        assert set(iterations) == {"smm", "fdscn"}
+        assert all(mean >= 1 for mean in iterations.values())
+
+    def test_efficiency_iterations_are_solves_per_step(self, tmp_path,
+                                                       monkeypatch):
+        # the manifest's mean is the number of solves each reference scheme
+        # made, over its repeats' steps (3 repeats of 3 steps)
+        solves = []
+        real_solve = TridiagonalSolver.solve
+        monkeypatch.setattr(TridiagonalSolver, "solve", lambda self, *a: (
+            solves.append(1) or real_solve(self, *a)))
+        made = {}
+        real_run = experiments.run_uniform_trajectory
+
+        def counting_run(method, u0, n_steps, noise=None):
+            before = len(solves)
+            out = real_run(method, u0, n_steps, noise=noise)
+            name = type(method).__name__[:-2].lower()
+            made[name] = made.get(name, 0) + len(solves) - before
+            return out
+
+        monkeypatch.setattr(experiments, "run_uniform_trajectory",
+                            counting_run)
+        cfg = from_mapping({"kind": "efficiency", "x_left": -5.0,
+                            "x_right": 5.0, "elements": 2, "degree": 6,
+                            "modes": 10, "uniform_points": 11, "tau": 0.02,
+                            "t_final": 0.06, "repeats": 3, "eps": 0.3,
+                            "output_dir": str(tmp_path)})
+        result = run_experiment(cfg, workers=1)
+        assert result.manifest["fixed_point_iterations"] == {
+            name: count / 9 for name, count in made.items()}
+        assert set(made) == {"smm", "fdscn"}
 
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_efficiency_schemes_on_one_grid_share_its_noise(

@@ -3,12 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 
 import odds_nls.stepper as stepper
 from odds_nls.linalg import (CNSystem, KrylovError, LUSolver, SolverOptions,
-                             build_cn_system, cn_step_linear, krylov_solve,
-                             krylov_solve_block, stack_real, unstack_real)
+                             Tridiagonal, TridiagonalSolver, build_cn_system,
+                             cn_step_linear, krylov_solve, krylov_solve_block,
+                             stack_real, unstack_real)
 from odds_nls.mesh import assemble_global, build_mesh
 from odds_nls.stepper import ProblemSpec, RunOptions, run_trajectory
 
@@ -125,6 +127,84 @@ class TestLUSolver:
         with pytest.raises(KrylovError) as info:
             solver.solve(b)
         assert np.isnan(info.value.residual)
+
+
+def random_tridiagonal(n: int, seed: int) -> Tridiagonal:
+    """A complex, diagonally dominant tridiagonal matrix of size n."""
+    rng = np.random.default_rng(seed)
+
+    def draw(size):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    return Tridiagonal(draw(n - 1), draw(n) + 6.0, draw(n - 1))
+
+
+class TestTridiagonalSolver:
+    def test_matrix_products_match_its_dense_form(self):
+        A = random_tridiagonal(9, 20)
+        dense = A.toarray()
+        assert A.shape == dense.shape == (9, 9)
+        np.testing.assert_array_equal(dense, np.diag(A.diagonals[1])
+                                      + np.diag(A.diagonals[0], -1)
+                                      + np.diag(A.diagonals[2], 1))
+        rng = np.random.default_rng(21)
+        x, X = rng.standard_normal(9), rng.standard_normal((9, 4))
+        np.testing.assert_allclose(A @ x, dense @ x, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(A @ X, dense @ X, rtol=0, atol=1e-14)
+
+    def test_factors_on_first_solve_only(self, monkeypatch):
+        calls = []
+        real = scipy.linalg.lapack.zgttrf
+        monkeypatch.setattr(scipy.linalg.lapack, "zgttrf", lambda *d: (
+            calls.append(d[1].size) or real(*d)))
+        A = random_tridiagonal(12, 22)
+        before = [d.copy() for d in A.diagonals]
+        solver = TridiagonalSolver(A)
+        assert calls == []                  # building does not factor
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+            x = solver.solve(b, SolverOptions(residual_tol=1e-12))
+            np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), b),
+                                       rtol=0, atol=1e-13)
+        assert calls == [12]
+        for d, old in zip(A.diagonals, before):   # the factor works on copies
+            np.testing.assert_array_equal(d, old)
+
+    def test_singular_matrix_is_rejected_at_the_factor(self):
+        zero = np.zeros(3, dtype=complex)
+        solver = TridiagonalSolver(Tridiagonal(zero[:2], zero, zero[:2]))
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            solver.solve(np.ones(3, dtype=complex))
+
+    def test_many_columns_match_single_solves(self):
+        A = random_tridiagonal(15, 24)
+        B = np.random.default_rng(25).standard_normal((15, 6)) + 0j
+        solver = TridiagonalSolver(A)
+        X = solver.solve(B)
+        for j in range(B.shape[1]):
+            np.testing.assert_allclose(X[:, j], solver.solve(B[:, j]),
+                                       rtol=0, atol=1e-13)
+        assert np.max(np.abs(B - A @ X)) < 1e-12
+
+    def test_nan_right_hand_side_fails_after_one_matvec(self):
+        solver = TridiagonalSolver(random_tridiagonal(15, 26))
+        b = np.ones(15, dtype=complex)
+        solver.solve(b)                     # factor first
+        counted = solver.A = MatvecCount(solver.A)
+        b[3] = np.nan
+        with pytest.raises(KrylovError) as info:
+            solver.solve(b)
+        assert np.isnan(info.value.residual)
+        assert counted.count == 1           # the check only, no GMRES
+
+    def test_missed_residual_raises_after_gmres(self):
+        solver = TridiagonalSolver(random_tridiagonal(15, 27))
+        hopeless = SolverOptions(residual_tol=1e-30, max_krylov=4,
+                                 max_restarts=2)
+        with pytest.raises(KrylovError) as info:
+            solver.solve(np.ones(15, dtype=complex), hopeless)
+        assert 0 < info.value.residual < 1e-12
 
 
 class MatvecCount:
