@@ -163,9 +163,10 @@ class _UniformScheme:
     lu solves with A = S + i theta tau L: S is the averaging weight when
     averaged, else the identity. On one axis S, L and A are Tridiagonal, from
     _axis_operators, and lu is a TridiagonalSolver; on two, S and L come
-    from _tensor_operators and lu is an LUSolver. The step works on the interior of a field of one
-    or two axes, flattened in C order to solve with A. fixed_point_iterations
-    counts the solves of every step taken so far.
+    from _tensor_operators and lu is an LUSolver. The step works on the
+    interior of a field of one or two axes, flattened in C order to solve
+    with A. fixed_point_iterations counts the solves of every step taken so
+    far.
     """
 
     averaged: bool
