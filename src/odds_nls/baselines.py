@@ -16,12 +16,11 @@ Each scheme has one step for one or two axes; on two axes it is the
 tensor form of the same step, so SMM2D and FDSCN2D only build the tensor
 operators. Both resolve their implicit stage by fixed-point iteration, and
 count its iterations. The linear part S + i theta tau L is constant, so each
-scheme solves it in complex form with one factor, built on the first step
-and reused by every iteration of every later step. On one axis the matrix
-is tridiagonal: its three diagonals are formed from h, theta and tau, and
-LAPACK's tridiagonal LU solves it (TridiagonalSolver). On two axes it is a
-Kronecker sum, solved through its sparse LU factor (LUSolver, as the
-collocation stepper does).
+scheme solves it in complex form with one LUSolver factor, built on the
+first step and reused by every iteration of every later step. On one axis
+the matrix is a Tridiagonal, formed diagonal by diagonal and factored by
+LAPACK's tridiagonal LU; on two axes it is a sparse Kronecker sum, factored
+by SuperLU as the collocation stepper's matrices are.
 """
 
 import functools
@@ -33,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import (KrylovError, LUSolver, SolverOptions, Tridiagonal,
-                     TridiagonalSolver)
+from .linalg import KrylovError, LUSolver, SolverOptions, Tridiagonal
 from .stepper import StepFailure, state_sha256
 
 FP_TOL = 1e-12
@@ -64,32 +62,6 @@ class FixedPointError(RuntimeError):
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-
-
-def _fixed_point(apply_rhs, lu: LUSolver | TridiagonalSolver, v0, opts,
-                 label: str) -> tuple[np.ndarray, int]:
-    """Iterate v <- A^{-1} rhs(v) until the max-norm update stalls below tol.
-
-    Returns v and the number of iterations (solves) it took. An update that
-    is not finite, or that grows while still above tol, means the iteration
-    runs away: it raises FixedPointError at once.
-    """
-    v = v0
-    last = math.inf
-    for k in range(1, FP_MAXITER + 1):
-        v_new = lu.solve(apply_rhs(v), opts)
-        delta = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if delta <= FP_TOL * max(1.0, float(np.max(np.abs(v_new)))):
-            return v, k
-        if not math.isfinite(delta) or delta > last:
-            raise FixedPointError(f"{label} fixed point runs away: update "
-                                  f"{delta:.3e} after {last:.3e}",
-                                  residual=delta)
-        last = delta
-    raise FixedPointError(f"{label} fixed point did not converge in "
-                          f"{FP_MAXITER} iterations (last update {delta:.3e})",
-                          residual=delta)
 
 
 def _corner_sum(a: np.ndarray) -> np.ndarray:
@@ -160,13 +132,12 @@ def _tensor_operators(grids, averaged: bool):
 class _UniformScheme:
     """Parameters and constant implicit matrix of a reference scheme.
 
-    lu solves with A = S + i theta tau L: S is the averaging weight when
-    averaged, else the identity. On one axis S, L and A are Tridiagonal, from
-    _axis_operators, and lu is a TridiagonalSolver; on two, S and L come
-    from _tensor_operators and lu is an LUSolver. The step works on the
-    interior of a field of one or two axes, flattened in C order to solve
-    with A. fixed_point_iterations counts the solves of every step taken so
-    far.
+    lu, an LUSolver, solves with A = S + i theta tau L: S is the averaging
+    weight when averaged, else the identity. On one axis S, L and A are
+    Tridiagonal, from _axis_operators; on two, S and L are sparse, from
+    _tensor_operators. The step works on the interior of a field of one or
+    two axes, flattened in C order to solve with A. fixed_point_iterations
+    counts the solves of every step taken so far.
     """
 
     averaged: bool
@@ -181,21 +152,38 @@ class _UniformScheme:
         self.eps = eps
         self.opts = opts or SolverOptions()
         self.fixed_point_iterations = 0
-        coefficient = 1j * self.theta * tau
         if len(grids) == 1:
             self.S, self.L = _axis_operators(grids[0], self.averaged)
-            self.lu = TridiagonalSolver(Tridiagonal(*(
-                s + coefficient * l
-                for s, l in zip(self.S.diagonals, self.L.diagonals))))
         else:
             self.S, self.L = _tensor_operators(grids, self.averaged)
-            self.lu = LUSolver(self.S + coefficient * self.L)
+        self.lu = LUSolver(self.S + 1j * self.theta * tau * self.L)
 
     def _fixed_point(self, apply_rhs, v0, label: str) -> np.ndarray:
-        """_fixed_point with lu and opts, counting its iterations."""
-        v, iterations = _fixed_point(apply_rhs, self.lu, v0, self.opts, label)
-        self.fixed_point_iterations += iterations
-        return v
+        """Iterate v <- A^{-1} rhs(v) until the max-norm update stalls.
+
+        Returns v, and adds the iterations (solves) it took to
+        fixed_point_iterations. An update that is not finite, or that grows
+        while still above tol, means the iteration runs away: it raises
+        FixedPointError at once. The update stalls when it falls below
+        FP_TOL, relative to max(1, max|v|).
+        """
+        v = v0
+        last = math.inf
+        for k in range(1, FP_MAXITER + 1):
+            v_new = self.lu.solve(apply_rhs(v), self.opts)
+            delta = float(np.max(np.abs(v_new - v)))
+            v = v_new
+            if delta <= FP_TOL * max(1.0, float(np.max(np.abs(v_new)))):
+                self.fixed_point_iterations += k
+                return v
+            if not math.isfinite(delta) or delta > last:
+                raise FixedPointError(f"{label} fixed point runs away: update "
+                                      f"{delta:.3e} after {last:.3e}",
+                                      residual=delta)
+            last = delta
+        raise FixedPointError(f"{label} fixed point did not converge in "
+                              f"{FP_MAXITER} iterations (last update "
+                              f"{delta:.3e})", residual=delta)
 
 
 class SMM1D(_UniformScheme):

@@ -190,15 +190,16 @@ def _coerce(name: str, value):
         except (TypeError, ValueError):
             raise ConfigError(f"{name} must be a list of numbers")
     kind = _FIELD_TYPES[name]
-    if kind == "int" or kind is int:
+    if kind is int:
+        # is_integer is False for inf and NaN too, which int() cannot take
         if isinstance(value, bool) or (isinstance(value, float)
-                                       and value != int(value)):
+                                       and not value.is_integer()):
             raise ConfigError(f"{name} must be an integer")
         try:
             return int(value)
         except (TypeError, ValueError):
             raise ConfigError(f"{name} must be an integer")
-    if kind == "float" or kind is float:
+    if kind is float:
         try:
             return float(value)
         except (TypeError, ValueError):

@@ -18,9 +18,9 @@ on the mesh and tau, so every time step solves it with one complex sparse
 LU factor (LUSolver), built on the first solve. One matvec checks the
 factor's solution against the max-norm residual target (krylov_solve,
 krylov_solve_block for many right-hand sides); only a solution that misses
-it is refined by SciPy's restarted GMRES. TridiagonalSolver keeps the same
-contract for a tridiagonal matrix, through LAPACK's tridiagonal LU; the 1D
-reference schemes solve with it.
+it is refined by SciPy's restarted GMRES. LUSolver factors a Tridiagonal,
+the 1D reference schemes' matrix, by LAPACK's tridiagonal LU instead, under
+the same check.
 
 CNSystem.E, and G and G_explicit, A and E over the reals acting on the
 stacked vector [imag; real] (stack_real), are built on request; no solve
@@ -43,9 +43,8 @@ from .mesh import OverlapMesh1D, assemble_global  # noqa: F401
 class KrylovError(RuntimeError):
     """Raised when a linear solve does not reach the residual target.
 
-    krylov_solve raises it, and so every LUSolver and TridiagonalSolver
-    solve; residual is the max-norm residual reached, NaN when the data were
-    not finite.
+    krylov_solve raises it, and so every LUSolver solve; residual is the
+    max-norm residual reached, NaN when the data were not finite.
     """
 
     def __init__(self, message: str, residual: float):
@@ -123,49 +122,26 @@ def krylov_solve_block(G, B: np.ndarray, X0: np.ndarray,
     return X
 
 
-class LUSolver:
-    """Solves with one constant sparse matrix through its LU factor.
-
-    The factor is computed on the first solve and reused by every later one,
-    so building the owner costs no factorization. The matrix is kept as a
-    sparse array, whose @ dispatches faster than a sparse matrix's on the
-    same kernel.
-    """
-
-    def __init__(self, A: sp.spmatrix | sp.sparray):
-        self.A = sp.csr_array(A)
-        self._lu = None
-
-    def solve(self, b: np.ndarray, opts: SolverOptions | None = None
-              ) -> np.ndarray:
-        """Solve A x = b for one line's b or every column of a block's b.
-
-        The factor's solution starts krylov_solve (krylov_solve_block for a
-        block): one matvec checks its residual against opts.residual_tol, and
-        only a solution that misses it is refined by GMRES. Raises
-        KrylovError when GMRES misses it too, and at once when the residual
-        is not finite (a NaN or inf in b).
-        """
-        if self._lu is None:
-            self._lu = scipy.sparse.linalg.splu(sp.csc_matrix(self.A))
-        x = self._lu.solve(b)
-        if b.ndim == 1:
-            return krylov_solve(self.A, b, x, opts)
-        return krylov_solve_block(self.A, b, x, opts)
-
-
 class Tridiagonal:
     """A square tridiagonal matrix held as its three diagonals.
 
     diagonals is (lower, diag, upper): the sub-, main and super-diagonal. It
     has the shape, @ and toarray of a matrix; @ takes one vector or every
-    column of a block.
+    column of a block. + adds another Tridiagonal and a scalar * scales,
+    one diagonal at a time.
     """
 
     def __init__(self, lower: np.ndarray, diag: np.ndarray,
                  upper: np.ndarray):
         self.diagonals = (lower, diag, upper)
         self.shape = (diag.size, diag.size)
+
+    def __add__(self, other: "Tridiagonal") -> "Tridiagonal":
+        return Tridiagonal(*(a + b for a, b in zip(self.diagonals,
+                                                   other.diagonals)))
+
+    def __rmul__(self, scalar: complex) -> "Tridiagonal":
+        return Tridiagonal(*(scalar * d for d in self.diagonals))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         col = (slice(None),) + (None,) * (np.ndim(x) - 1)
@@ -180,37 +156,46 @@ class Tridiagonal:
         return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
 
 
-class TridiagonalSolver:
-    """Solves with one constant complex tridiagonal matrix, as LUSolver does.
+class LUSolver:
+    """Solves with one constant matrix through its LU factor.
 
-    LAPACK's tridiagonal LU (zgttrf) is computed on the first solve, so
-    building the owner costs no factorization, and each solve is one zgttrs
-    call.
+    A Tridiagonal is factored by LAPACK's tridiagonal LU (zgttrf, then one
+    zgttrs per solve), any other matrix by SuperLU. The factor is computed
+    on the first solve and reused by every later one, so building the owner
+    costs no factorization. A sparse matrix is kept as a sparse array, whose
+    @ dispatches faster than a sparse matrix's on the same kernel.
     """
 
-    def __init__(self, A: Tridiagonal):
-        self.A = A
-        self._lu = None
+    def __init__(self, A: Tridiagonal | sp.spmatrix | sp.sparray):
+        self.A = A if isinstance(A, Tridiagonal) else sp.csr_array(A)
+        self._solve = None
 
     def solve(self, b: np.ndarray, opts: SolverOptions | None = None
               ) -> np.ndarray:
-        """Solve A x = b for one vector b or every column of a block b.
+        """Solve A x = b for one line's b or every column of a block's b.
 
-        The factor's solution goes through the residual check of
-        LUSolver.solve: krylov_solve (krylov_solve_block for a block)
-        refines only a solution that misses opts.residual_tol, and raises
+        The factor's solution starts krylov_solve (krylov_solve_block for a
+        block): one matvec checks its residual against opts.residual_tol, and
+        only a solution that misses it is refined by GMRES. Raises
         KrylovError when GMRES misses it too, and at once when the residual
-        is not finite (a NaN or inf in b).
+        is not finite (a NaN or inf in b). The first solve raises
+        np.linalg.LinAlgError for a singular Tridiagonal.
         """
-        if self._lu is None:
-            *lu, info = scipy.linalg.lapack.zgttrf(*self.A.diagonals)
-            if info:
-                raise np.linalg.LinAlgError("tridiagonal matrix is singular")
-            self._lu = lu
-        x, _ = scipy.linalg.lapack.zgttrs(*self._lu, b)
+        if self._solve is None:
+            self._solve = self._factor()
+        x = self._solve(b)
         if b.ndim == 1:
             return krylov_solve(self.A, b, x, opts)
         return krylov_solve_block(self.A, b, x, opts)
+
+    def _factor(self):
+        """The solve of A's LU factor, as a function of the right-hand side."""
+        if isinstance(self.A, Tridiagonal):
+            *lu, info = scipy.linalg.lapack.zgttrf(*self.A.diagonals)
+            if info:
+                raise np.linalg.LinAlgError("tridiagonal matrix is singular")
+            return lambda b: scipy.linalg.lapack.zgttrs(*lu, b)[0]
+        return scipy.sparse.linalg.splu(sp.csc_matrix(self.A)).solve
 
 
 @dataclass

@@ -14,7 +14,7 @@ and cosines instead of modes rows of sines.
 """
 
 from dataclasses import dataclass
-from math import isqrt, prod
+from math import inf, isqrt, prod
 
 import numpy as np
 
@@ -169,16 +169,20 @@ class NoiseModel2D:
 
 
 def _check_dt(dt: float) -> None:
-    if dt <= 0:
-        raise ValueError(f"increment over non-positive interval dt={dt}")
+    if not 0 < dt < inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+
+
+def _check_step(step: int) -> None:
+    if step < 0:
+        raise ValueError(f"negative step {step}")
 
 
 class TrajectoryNoise:
     """Increment stream for one trajectory of one noise model.
 
     Step k is row k % steps_per_chunk of chunk k // steps_per_chunk. The
-    stream keeps the last chunk it drew: its normals and, once asked for,
-    their grid projection.
+    stream keeps the grid projection of the last chunk it drew.
     """
 
     def __init__(self, model, trajectory: int):
@@ -186,7 +190,6 @@ class TrajectoryNoise:
         self.trajectory = trajectory
         self.steps_per_chunk = max(1, CHUNK_NORMALS // prod(model.mode_shape))
         self._chunk = None
-        self._normals = None
         self._values = None
 
     def draw_chunk(self, chunk: int) -> np.ndarray:
@@ -201,32 +204,15 @@ class TrajectoryNoise:
         return rng.standard_normal((self.steps_per_chunk,
                                     *self.model.mode_shape))
 
-    def _locate(self, step: int) -> tuple:
-        """(chunk, row) of a step."""
-        if step < 0:
-            raise ValueError(f"negative step {step}")
-        return divmod(step, self.steps_per_chunk)
-
-    def _load(self, chunk: int) -> np.ndarray:
-        """Normals of chunk, drawn unless it is the chunk held."""
-        if chunk != self._chunk:
-            self._normals = self.draw_chunk(chunk)
-            self._values = None
-            self._chunk = chunk
-        return self._normals
-
     def chunk_values(self, chunk: int) -> np.ndarray:
-        """Grid projection of a chunk's normals, one row per step."""
-        normals = self._load(chunk)
-        if self._values is None:
-            self._values = self.values_from_modes(normals)
-        return self._values
+        """Grid projection of a chunk's normals, one row per step.
 
-    def mode_increments(self, step: int, dt: float) -> np.ndarray:
-        """Per-mode Brownian increments over one step, N(0, dt) each."""
-        _check_dt(dt)
-        chunk, row = self._locate(step)
-        return np.sqrt(dt) * self._load(chunk)[row]
+        The chunk is drawn and projected unless it is the chunk held.
+        """
+        if chunk != self._chunk:
+            self._values = self.values_from_modes(self.draw_chunk(chunk))
+            self._chunk = chunk
+        return self._values
 
     def values_from_modes(self, xi: np.ndarray) -> np.ndarray:
         """Grid values of mode values xi, or of a stack of them."""
@@ -238,7 +224,8 @@ class TrajectoryNoise:
     def grid_increments(self, step: int, dt: float) -> np.ndarray:
         """Grid values of the Brownian increment of one step over dt."""
         _check_dt(dt)
-        chunk, row = self._locate(step)
+        _check_step(step)
+        chunk, row = divmod(step, self.steps_per_chunk)
         return np.sqrt(dt) * self.chunk_values(chunk)[row]
 
 
@@ -288,4 +275,5 @@ class ReplayNoise:
 
     def grid_increments(self, step: int, dt: float) -> np.ndarray:
         _check_dt(dt)
+        _check_step(step)
         return self.path[step]

@@ -124,6 +124,25 @@ class TestMappingAndFiles:
         with pytest.raises(ConfigError):
             from_mapping({"kind": "soliton1d", "trajectories": 2.5})
 
+    @pytest.mark.parametrize("raw, value", [(".inf", math.inf),
+                                            ("-.inf", -math.inf),
+                                            (".nan", math.nan)])
+    def test_non_finite_value_rejected_for_int_fields(self, raw, value,
+                                                       tmp_path, capsys):
+        # int() of these raised OverflowError or ValueError, past the
+        # ConfigError handling, so the CLI died with a traceback
+        message = "^trajectories must be an integer$"
+        with pytest.raises(ConfigError, match=message):
+            from_mapping({"kind": "soliton1d", "trajectories": value})
+        with pytest.raises(ConfigError, match=message):
+            apply_overrides(builtin_configs()["soliton1d"],
+                            [f"trajectories={raw}"])
+        code = cli.main(["run", "soliton1d", "--set", f"trajectories={raw}",
+                         "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert ("config error: trajectories must be an integer"
+                in capsys.readouterr().err)
+
     def test_load_config_roundtrip(self, tmp_path):
         path = tmp_path / "run.yaml"
         path.write_text("kind: collision1d\ntau: 0.012\n"

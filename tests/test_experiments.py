@@ -26,7 +26,7 @@ from odds_nls.mesh import build_mesh
 from odds_nls.noise import (CHUNK_NORMALS, NoiseModel1D, NoiseModel2D,
                             TrajectoryNoise)
 from odds_nls.observables import trapezoid_weights
-from odds_nls.linalg import SolverOptions, TridiagonalSolver
+from odds_nls.linalg import LUSolver, SolverOptions
 from odds_nls.stepper import RunOptions, StepFailure, state_sha256
 
 
@@ -624,8 +624,8 @@ class TestOtherRunners:
         # the manifest's mean is the number of solves each reference scheme
         # made, over its repeats' steps (3 repeats of 3 steps)
         solves = []
-        real_solve = TridiagonalSolver.solve
-        monkeypatch.setattr(TridiagonalSolver, "solve", lambda self, *a: (
+        real_solve = LUSolver.solve
+        monkeypatch.setattr(LUSolver, "solve", lambda self, *a: (
             solves.append(1) or real_solve(self, *a)))
         made = {}
         real_run = experiments.run_uniform_trajectory

@@ -8,9 +8,9 @@ import scipy.sparse.linalg
 
 import odds_nls.stepper as stepper
 from odds_nls.linalg import (CNSystem, KrylovError, LUSolver, SolverOptions,
-                             Tridiagonal, TridiagonalSolver, build_cn_system,
-                             cn_step_linear, krylov_solve, krylov_solve_block,
-                             stack_real, unstack_real)
+                             Tridiagonal, build_cn_system, cn_step_linear,
+                             krylov_solve, krylov_solve_block, stack_real,
+                             unstack_real)
 from odds_nls.mesh import assemble_global, build_mesh
 from odds_nls.stepper import ProblemSpec, RunOptions, run_trajectory
 
@@ -73,60 +73,12 @@ class TestKrylovSolve:
             krylov_solve(sp.eye(3, format="csr"), np.zeros(4))
 
 
-@pytest.fixture
-def splu_calls(monkeypatch):
-    """Count the sparse LU factorizations made while the test runs."""
-    calls = []
-    real = scipy.sparse.linalg.splu
-
-    def counting(A, *args, **kwargs):
-        calls.append(A.shape)
-        return real(A, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
-    return calls
-
-
-class TestLUSolver:
-    def test_factors_on_first_solve_only(self, splu_calls):
-        mesh = build_mesh(-1.0, 1.0, 3, 8)
-        system = build_cn_system(mesh, 0.01)
-        assert splu_calls == []             # building does not factor
-        u = np.sin(np.pi * mesh.nodes) + 0j
-        for _ in range(4):
-            u = cn_step_linear(system, u)
-        n = system.n_interior
-        assert splu_calls == [(n, n)]
-
-    def test_many_columns_match_single_solves(self):
-        rng = np.random.default_rng(9)
-        A = sp.csr_matrix(rng.standard_normal((15, 15)) + 15 * np.eye(15))
-        B = rng.standard_normal((15, 6))
-        solver = LUSolver(A)
-        X = solver.solve(B)
-        for j in range(B.shape[1]):
-            np.testing.assert_allclose(X[:, j], solver.solve(B[:, j]),
-                                       rtol=0, atol=1e-13)
-        assert np.max(np.abs(B - A @ X)) < 1e-12
-
-    def test_missed_or_nan_residual_raises(self):
-        rng = np.random.default_rng(10)
-        solver = LUSolver(sp.csr_matrix(rng.standard_normal((15, 15))
-                                        + 15 * np.eye(15)))
-        b = rng.standard_normal(15)
-        # the LU solution misses an unreachable tolerance, so GMRES
-        # refinement runs until its restarts are spent
-        hopeless = SolverOptions(residual_tol=1e-30, max_krylov=4,
-                                 max_restarts=2)
-        with pytest.raises(KrylovError) as info:
-            solver.solve(b, hopeless)
-        assert 0 < info.value.residual < 1e-12
-        with pytest.raises(KrylovError):
-            solver.solve(np.column_stack([b, b]), hopeless)
-        b[3] = np.nan
-        with pytest.raises(KrylovError) as info:
-            solver.solve(b)
-        assert np.isnan(info.value.residual)
+def random_sparse(n: int, seed: int) -> sp.csr_matrix:
+    """A complex, diagonally dominant sparse matrix of size n."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return sp.csr_matrix(np.where(rng.random((n, n)) < 0.3, A, 0.0)
+                         + 6.0 * np.eye(n))
 
 
 def random_tridiagonal(n: int, seed: int) -> Tridiagonal:
@@ -139,7 +91,93 @@ def random_tridiagonal(n: int, seed: int) -> Tridiagonal:
     return Tridiagonal(draw(n - 1), draw(n) + 6.0, draw(n - 1))
 
 
-class TestTridiagonalSolver:
+# each kind of matrix LUSolver factors: its maker and its LU routine
+MATRICES = {"sparse": (random_sparse, "splu"),
+            "tridiagonal": (random_tridiagonal, "zgttrf")}
+
+
+@pytest.fixture(params=MATRICES)
+def kind(request):
+    return request.param
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """The LU factorizations made while the test runs, as (routine, n)."""
+    calls = []
+    splu, zgttrf = scipy.sparse.linalg.splu, scipy.linalg.lapack.zgttrf
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda A: (
+        calls.append(("splu", A.shape[0])) or splu(A)))
+    monkeypatch.setattr(scipy.linalg.lapack, "zgttrf", lambda *d: (
+        calls.append(("zgttrf", d[1].size)) or zgttrf(*d)))
+    return calls
+
+
+class TestLUSolver:
+    def test_factors_on_first_solve_only(self, kind, factor_calls):
+        make, routine = MATRICES[kind]
+        A = make(12, 22)
+        dense = A.toarray()
+        solver = LUSolver(A)
+        assert factor_calls == []           # building does not factor
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+            x = solver.solve(b, SolverOptions(residual_tol=1e-12))
+            np.testing.assert_allclose(x, np.linalg.solve(dense, b),
+                                       rtol=0, atol=1e-13)
+        assert factor_calls == [(routine, 12)]
+        np.testing.assert_array_equal(A.toarray(), dense)  # A is not written
+
+    def test_cn_steps_share_one_factor(self, factor_calls):
+        mesh = build_mesh(-1.0, 1.0, 3, 8)
+        system = build_cn_system(mesh, 0.01)
+        assert factor_calls == []           # building does not factor
+        u = np.sin(np.pi * mesh.nodes) + 0j
+        for _ in range(4):
+            u = cn_step_linear(system, u)
+        assert factor_calls == [("splu", system.n_interior)]
+
+    def test_many_columns_match_single_solves(self, kind):
+        A = MATRICES[kind][0](15, 24)
+        B = np.random.default_rng(25).standard_normal((15, 6)) + 0j
+        solver = LUSolver(A)
+        X = solver.solve(B)
+        for j in range(B.shape[1]):
+            np.testing.assert_allclose(X[:, j], solver.solve(B[:, j]),
+                                       rtol=0, atol=1e-13)
+        assert np.max(np.abs(B - A @ X)) < 1e-12
+
+    def test_nan_right_hand_side_fails_after_one_matvec(self, kind):
+        solver = LUSolver(MATRICES[kind][0](15, 26))
+        b = np.ones(15, dtype=complex)
+        solver.solve(b)                     # factor first
+        counted = solver.A = MatvecCount(solver.A)
+        b[3] = np.nan
+        with pytest.raises(KrylovError) as info:
+            solver.solve(b)
+        assert np.isnan(info.value.residual)
+        assert counted.count == 1           # the check only, no GMRES
+
+    def test_missed_residual_raises_after_gmres(self, kind):
+        # the LU solution misses an unreachable tolerance, so GMRES
+        # refinement runs until its restarts are spent
+        solver = LUSolver(MATRICES[kind][0](15, 27))
+        hopeless = SolverOptions(residual_tol=1e-30, max_krylov=4,
+                                 max_restarts=2)
+        b = np.ones(15, dtype=complex)
+        with pytest.raises(KrylovError) as info:
+            solver.solve(b, hopeless)
+        assert 0 < info.value.residual < 1e-12
+        with pytest.raises(KrylovError):
+            solver.solve(np.column_stack([b, b]), hopeless)
+
+    def test_singular_matrix_is_rejected_at_the_factor(self):
+        zero = np.zeros(3, dtype=complex)
+        solver = LUSolver(Tridiagonal(zero[:2], zero, zero[:2]))
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            solver.solve(np.ones(3, dtype=complex))
+
     def test_matrix_products_match_its_dense_form(self):
         A = random_tridiagonal(9, 20)
         dense = A.toarray()
@@ -151,60 +189,11 @@ class TestTridiagonalSolver:
         x, X = rng.standard_normal(9), rng.standard_normal((9, 4))
         np.testing.assert_allclose(A @ x, dense @ x, rtol=0, atol=1e-14)
         np.testing.assert_allclose(A @ X, dense @ X, rtol=0, atol=1e-14)
-
-    def test_factors_on_first_solve_only(self, monkeypatch):
-        calls = []
-        real = scipy.linalg.lapack.zgttrf
-        monkeypatch.setattr(scipy.linalg.lapack, "zgttrf", lambda *d: (
-            calls.append(d[1].size) or real(*d)))
-        A = random_tridiagonal(12, 22)
-        before = [d.copy() for d in A.diagonals]
-        solver = TridiagonalSolver(A)
-        assert calls == []                  # building does not factor
-        rng = np.random.default_rng(23)
-        for _ in range(3):
-            b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-            x = solver.solve(b, SolverOptions(residual_tol=1e-12))
-            np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), b),
-                                       rtol=0, atol=1e-13)
-        assert calls == [12]
-        for d, old in zip(A.diagonals, before):   # the factor works on copies
-            np.testing.assert_array_equal(d, old)
-
-    def test_singular_matrix_is_rejected_at_the_factor(self):
-        zero = np.zeros(3, dtype=complex)
-        solver = TridiagonalSolver(Tridiagonal(zero[:2], zero, zero[:2]))
-        with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            solver.solve(np.ones(3, dtype=complex))
-
-    def test_many_columns_match_single_solves(self):
-        A = random_tridiagonal(15, 24)
-        B = np.random.default_rng(25).standard_normal((15, 6)) + 0j
-        solver = TridiagonalSolver(A)
-        X = solver.solve(B)
-        for j in range(B.shape[1]):
-            np.testing.assert_allclose(X[:, j], solver.solve(B[:, j]),
-                                       rtol=0, atol=1e-13)
-        assert np.max(np.abs(B - A @ X)) < 1e-12
-
-    def test_nan_right_hand_side_fails_after_one_matvec(self):
-        solver = TridiagonalSolver(random_tridiagonal(15, 26))
-        b = np.ones(15, dtype=complex)
-        solver.solve(b)                     # factor first
-        counted = solver.A = MatvecCount(solver.A)
-        b[3] = np.nan
-        with pytest.raises(KrylovError) as info:
-            solver.solve(b)
-        assert np.isnan(info.value.residual)
-        assert counted.count == 1           # the check only, no GMRES
-
-    def test_missed_residual_raises_after_gmres(self):
-        solver = TridiagonalSolver(random_tridiagonal(15, 27))
-        hopeless = SolverOptions(residual_tol=1e-30, max_krylov=4,
-                                 max_restarts=2)
-        with pytest.raises(KrylovError) as info:
-            solver.solve(np.ones(15, dtype=complex), hopeless)
-        assert 0 < info.value.residual < 1e-12
+        # + and a scalar * act entry by entry, as on the dense form
+        B = random_tridiagonal(9, 28)
+        c = 0.7j * 0.015
+        np.testing.assert_array_equal((A + c * B).toarray(),
+                                      dense + c * B.toarray())
 
 
 class MatvecCount:

@@ -15,7 +15,7 @@ def grid():
 def test_single_mode_has_exact_sine_shape(grid):
     model = NoiseModel1D.build(-1.0, 1.0, grid, modes=1, seed=0)
     inc = model.trajectory(0).grid_increments(0, 0.1)
-    xi = model.trajectory(0).mode_increments(0, 0.1)
+    xi = np.sqrt(0.1) * model.trajectory(0).draw_chunk(0)[0]
     want = xi[0] * np.sin(np.pi * (grid + 1.0) / 2.0)
     np.testing.assert_allclose(inc, want, atol=1e-14)
 
@@ -28,10 +28,11 @@ def test_increment_vanishes_on_boundary(grid):
 
 
 def test_mode_variance_matches_dt(grid):
+    # a step's mode increments are sqrt(dt) times its row of its chunk
     model = NoiseModel1D.build(-1.0, 1.0, grid, modes=3, seed=11)
     dt = 0.05
-    draws = np.array([model.trajectory(p).mode_increments(0, dt)
-                      for p in range(4000)])
+    draws = np.sqrt(dt) * np.array([model.trajectory(p).draw_chunk(0)[0]
+                                    for p in range(4000)])
     np.testing.assert_allclose(draws.mean(axis=0), 0.0, atol=0.01)
     np.testing.assert_allclose(draws.var(axis=0), dt, rtol=0.1)
     # modes are mutually independent
@@ -62,15 +63,17 @@ def test_same_key_reproduces_bitwise(grid):
 
 
 def test_draw_order_does_not_matter(grid):
-    # counter-based keying: regenerating step 5 after step 9 must equal
-    # generating it first
+    # counter-based keying: regenerating chunk 5 after chunk 9 must equal
+    # generating it first, and so must the steps in them
     model = NoiseModel1D.build(-1.0, 1.0, grid, modes=20, seed=9)
     t = model.trajectory(0)
-    late = t.mode_increments(9, 0.1)
-    five_after = t.mode_increments(5, 0.1)
-    five_fresh = model.trajectory(0).mode_increments(5, 0.1)
-    np.testing.assert_array_equal(five_after, five_fresh)
-    np.testing.assert_array_equal(late, model.trajectory(0).mode_increments(9, 0.1))
+    R = t.steps_per_chunk
+    steps = (9 * R, 5 * R + 1)
+    drawn = [(t.draw_chunk(k // R), t.grid_increments(k, 0.1)) for k in steps]
+    for k, (normals, inc) in zip(steps, drawn):
+        fresh = model.trajectory(0)
+        np.testing.assert_array_equal(normals, fresh.draw_chunk(k // R))
+        np.testing.assert_array_equal(inc, fresh.grid_increments(k, 0.1))
 
 
 @pytest.mark.parametrize("modes, rows", [(500, 16), (2048, 4), (8192, 1),
@@ -94,12 +97,12 @@ def test_steps_across_chunks_drawn_in_reverse_match_fresh_streams(grid):
     assert R == 4
     steps = [R - 1, R, 2 * R + 3]
     stream = model.trajectory(2)
-    back = {k: (stream.mode_increments(k, 0.01),
+    back = {k: (stream.draw_chunk(k // R)[k % R],
                 stream.grid_increments(k, 0.01))
             for k in reversed(steps)}
     for k in steps:
         np.testing.assert_array_equal(
-            back[k][0], model.trajectory(2).mode_increments(k, 0.01))
+            back[k][0], model.trajectory(2).draw_chunk(k // R)[k % R])
         np.testing.assert_array_equal(
             back[k][1], model.trajectory(2).grid_increments(k, 0.01))
 
@@ -144,14 +147,17 @@ def test_chunk_projection_matches_the_explicit_mode_sum(grid):
 
 def test_rejects_a_negative_step(grid):
     model = NoiseModel1D.build(-1.0, 1.0, grid, modes=2, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative step -1"):
         model.trajectory(0).grid_increments(-1, 0.1)
 
 
 def test_trajectories_differ(grid):
     model = NoiseModel1D.build(-1.0, 1.0, grid, modes=20, seed=9)
-    a = model.trajectory(0).mode_increments(0, 0.1)
-    b = model.trajectory(1).mode_increments(0, 0.1)
+    a = model.trajectory(0).draw_chunk(0)[0]
+    b = model.trajectory(1).draw_chunk(0)[0]
+    assert np.max(np.abs(a - b)) > 1e-3
+    a = model.trajectory(0).grid_increments(0, 0.1)
+    b = model.trajectory(1).grid_increments(0, 0.1)
     assert np.max(np.abs(a - b)) > 1e-3
 
 
@@ -206,10 +212,29 @@ def test_replay_returns_the_rows_of_its_path():
 
 def test_rejects_nonpositive_interval(grid):
     model = NoiseModel1D.build(-1.0, 1.0, grid, modes=2, seed=0)
-    with pytest.raises(ValueError):
-        model.trajectory(0).grid_increments(0, 0.0)
-    with pytest.raises(ValueError):
-        model.trajectory(0).mode_increments(0, 0.0)
+    for dt in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            model.trajectory(0).grid_increments(0, dt)
+        with pytest.raises(ValueError):
+            draw_path(model, [0], 3, dt)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_interval(grid, dt):
+    model = NoiseModel1D.build(-1.0, 1.0, grid, modes=2, seed=0)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        model.trajectory(0).grid_increments(0, dt)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        draw_path(model, [0], 3, dt)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        ReplayNoise(np.zeros((3, grid.size))).grid_increments(0, dt)
+
+
+def test_replay_rejects_a_negative_step():
+    # a negative index would otherwise read the path's rows from the end
+    path = np.arange(24.0).reshape(4, 3, 2)
+    with pytest.raises(ValueError, match="negative step -1"):
+        ReplayNoise(path).grid_increments(-1, 0.25)
 
 
 def test_build_rejects_bad_domain_and_modes(grid):
@@ -341,8 +366,9 @@ class TestNoise2D:
 
     def test_tensor_construction_matches_explicit_double_sum(self):
         traj = self.model.trajectory(1)
-        xi = traj.mode_increments(4, 0.05)
-        got = traj.values_from_modes(xi)
+        chunk, row = divmod(4, traj.steps_per_chunk)
+        xi = np.sqrt(0.05) * traj.draw_chunk(chunk)[row]
+        got = traj.grid_increments(4, 0.05)
         Lx, Ly = 2.0, 2.0
         want = np.zeros((13, 9))
         for k1 in range(1, 7):
