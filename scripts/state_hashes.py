@@ -102,7 +102,7 @@ def main() -> None:
         options = RunOptions(noise=noise.trajectory(1))
         res = run_trajectory(u0, mesh, ProblemSpec(1.0, EPS, boundary), TAU,
                              N_STEPS, options=options)
-        for quantity, values in (("state", res.state.values),
+        for quantity, values in (("state", res.values),
                                  ("charge", res.charge),
                                  ("energy", res.energy)):
             _print(name, quantity, values)

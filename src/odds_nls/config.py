@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ConfigError("tau and t_final must be positive")
         if self.eps < 0:
             raise ConfigError("eps must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
         if any(t < 0 or t > self.t_final + 1e-12 for t in self.snapshot_times):
             raise ConfigError("snapshot_times must lie in [0, t_final]")
         if self.kind == "convergence":
@@ -204,7 +206,9 @@ def _coerce(name: str, value):
             return float(value)
         except (TypeError, ValueError):
             raise ConfigError(f"{name} must be a number")
-    return str(value)
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{name} must be a non-empty string, got {value!r}")
+    return value
 
 
 def from_mapping(data: dict) -> ExperimentConfig:

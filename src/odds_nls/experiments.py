@@ -223,12 +223,17 @@ def _run_job(args):
 
 
 def _farm(builder, job_fn, jobs, workers):
-    """Run job_fn(ctx, job) for each job, in order, on `workers` processes."""
+    """Run job_fn(ctx, job) for each job, in order, on `workers` processes.
+
+    No more processes start than there are jobs, since each one builds the
+    whole context, mesh and noise model included.
+    """
     jobs = list(jobs)
     if workers <= 1 or len(jobs) <= 1:
         ctx = builder()
         return [job_fn(ctx, job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
+                             initializer=_init_worker,
                              initargs=(builder,)) as pool:
         return list(pool.map(_run_job, [(job_fn, job) for job in jobs]))
 
@@ -497,7 +502,7 @@ def _convergence_job(ctx, block):
     def terminal(tau, path):
         options = RunOptions(noise=ReplayNoise(path), record_invariants=False)
         return run_trajectory(start, mesh, prob, tau, len(path),
-                              options=options).state.values
+                              options=options).values
 
     ref = terminal(config.tau_ref, fine)
     out = np.empty((len(block), len(config.tau_ladder)))

@@ -2,7 +2,8 @@
 
 Spatial integrals use trapezoid weights on the (generally non-uniform)
 global grid of each of one or two axes; the energy's gradient term uses
-each axis's global first-derivative collocation operator.
+each axis's global first-derivative collocation operator, taken from the
+mesh's operator store.
 """
 
 from dataclasses import dataclass
@@ -35,18 +36,15 @@ def discrete_charge(values: np.ndarray, *nodes: np.ndarray) -> float:
                            np.abs(values) ** 2))
 
 
-def discrete_energy(values: np.ndarray, mesh, diff1=None) -> float:
+def discrete_energy(values: np.ndarray, mesh) -> float:
     """H = 1/2 int |grad u|^2 - 1/4 int |u|^4 on the mesh grid.
 
-    mesh is an OverlapMesh1D or an (mesh_x, mesh_y) pair, and diff1 its
-    first-derivative operator or one per axis; None takes each axis's
-    OverlapMesh1D.operator(1).
+    mesh is an OverlapMesh1D or an (mesh_x, mesh_y) pair; each axis's
+    first-derivative operator is its OverlapMesh1D.operator(1), assembled
+    once per mesh object.
     """
     axes = mesh if isinstance(mesh, tuple) else (mesh,)
-    if diff1 is None:
-        diff1 = [axis.operator(1) for axis in axes]
-    elif not isinstance(diff1, tuple):
-        diff1 = (diff1,)
+    diff1 = [axis.operator(1) for axis in axes]
     grad2 = np.abs(diff1[0] @ values) ** 2
     for axis in range(1, values.ndim):
         d = diff1[axis] @ values.swapaxes(0, axis)

@@ -6,10 +6,13 @@ mesh; in 2D the linear part is swept dimension by dimension. One step body
 serves one or two axes, and it alone writes the Dirichlet edges: those
 across an axis are set just before that axis's solve. In 1D a block of
 trajectories can be stepped as the columns of one state.
+
+run_trajectory records on one path: before the first step and after each
+step it takes the snapshot and the charge/energy sample that step is due,
+and its result holds the final state and time.
 """
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -19,12 +22,6 @@ from .linalg import (CNSystem, KrylovError, SolverOptions, build_cn_system,
                      cn_step_linear)
 from .mesh import OverlapMesh1D
 from .observables import discrete_charge, discrete_energy
-
-
-@dataclass
-class StateField:
-    values: np.ndarray
-    t: float
 
 
 @dataclass(frozen=True)
@@ -153,8 +150,8 @@ class TrajectoryResult:
     charge: np.ndarray
     energy: np.ndarray
     snapshots: dict        # step index -> grid values copy
-    state: StateField      # final state
-    n_steps: int
+    values: np.ndarray     # final state
+    t: float               # its time
 
 
 def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
@@ -182,12 +179,11 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
         StepFailure: a linear solve did not reach tolerance mid-run; a NaN
             or inf in the state fails the solve of the step it enters. It
             carries the sha256 of the state that entered the failed step.
-        ValueError: a tau that is not positive and finite, inconsistent
+        ValueError: a tau that is not positive and finite (from
+            build_cn_system, before the first step), inconsistent
             shapes, missing noise, bad snapshot indices, invariant_stride
             < 1, or invariants asked of a block.
     """
-    if not 0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     options = options or RunOptions()
@@ -216,26 +212,21 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
     built = {key: build_cn_system(axis, tau) for key, axis in unique.items()}
     systems = [built[id(axis)] for axis in axes]
     step = odds_step_1d if len(axes) == 1 else odds_step_2d
-    if options.record_invariants:
-        nodes = [axis.nodes for axis in axes]
-        d1 = tuple(axis.operator(1) for axis in axes)
-
-        def invariants(v):
-            return discrete_charge(v, *nodes), discrete_energy(v, axes, d1)
-
+    nodes = [axis.nodes for axis in axes]
     wanted = set(options.snapshot_steps)
-    snapshots = {}
-    if 0 in wanted:
-        snapshots[0] = values.copy()
-    times, charges, energies = [], [], []
-    stride = options.invariant_stride
-    if options.record_invariants:
-        q, e = invariants(values)
-        times.append(t0)
-        charges.append(q)
-        energies.append(e)
+    snapshots, samples = {}, []
+
+    def record(k, t):
+        """The snapshot and the invariant sample due after k steps, at t."""
+        if k in wanted:
+            snapshots[k] = values.copy()
+        if options.record_invariants and (k % options.invariant_stride == 0
+                                          or k == n_steps):
+            samples.append((t, discrete_charge(values, *nodes),
+                            discrete_energy(values, axes)))
 
     t = t0
+    record(0, t)
     for k in range(n_steps):
         dw = None
         if problem.eps != 0.0:
@@ -252,16 +243,9 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
                 step=k, time=t, residual=err.residual,
                 state_sha256=state_sha256(values)) from err
         t = t0 + (k + 1) * tau
-        if (k + 1) in wanted:
-            snapshots[k + 1] = values.copy()
-        if options.record_invariants and ((k + 1) % stride == 0
-                                          or k + 1 == n_steps):
-            q, e = invariants(values)
-            times.append(t)
-            charges.append(q)
-            energies.append(e)
+        record(k + 1, t)
 
-    return TrajectoryResult(times=np.array(times), charge=np.array(charges),
-                            energy=np.array(energies), snapshots=snapshots,
-                            state=StateField(values=values, t=t),
-                            n_steps=n_steps)
+    # one row per sample; (0, 3) when none, so each series is empty
+    times, charge, energy = np.array(samples).reshape(-1, 3).T.copy()
+    return TrajectoryResult(times=times, charge=charge, energy=energy,
+                            snapshots=snapshots, values=values, t=t)

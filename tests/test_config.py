@@ -143,6 +143,41 @@ class TestMappingAndFiles:
         assert ("config error: trajectories must be an integer"
                 in capsys.readouterr().err)
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        # numpy's SeedSequence raised ValueError at the first draw, so the
+        # CLI died mid-run with a traceback and exit 1
+        message = "^seed must be a non-negative integer$"
+        with pytest.raises(ConfigError, match=message):
+            from_mapping({"kind": "soliton1d", "seed": -1})
+        with pytest.raises(ConfigError, match=message):
+            apply_overrides(builtin_configs()["soliton1d"], ["seed=-1"])
+        code = cli.main(["run", "soliton1d", "--set", "seed=-1",
+                         "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert ("config error: seed must be a non-negative integer"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("raw", ["", "''", "[a, b]", "7"],
+                             ids=["null", "empty", "list", "int"])
+    def test_string_key_takes_only_a_non_empty_string(self, raw, tmp_path,
+                                                      capsys):
+        # str() made the output root a directory named None, ['a', 'b'] or
+        # 7, or for '' the working directory
+        message = "^output_dir must be a non-empty string"
+        path = tmp_path / "run.yaml"
+        path.write_text(f"kind: soliton1d\noutput_dir: {raw}\n")
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(path))
+        with pytest.raises(ConfigError, match=message):
+            apply_overrides(builtin_configs()["soliton1d"],
+                            [f"output_dir={raw}"])
+        for argv in (["run", str(path)],
+                     ["run", "soliton1d", "--set", f"output_dir={raw}"]):
+            assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 2
+            assert ("config error: output_dir must be a non-empty string"
+                    in capsys.readouterr().err)
+
     def test_load_config_roundtrip(self, tmp_path):
         path = tmp_path / "run.yaml"
         path.write_text("kind: collision1d\ntau: 0.012\n"

@@ -378,6 +378,36 @@ class TestSolitonRunner:
             if pa.endswith(".csv"):
                 assert sha_of(pa) == sha_of(pb), os.path.basename(pa)
 
+    def test_farm_starts_no_more_workers_than_jobs(self, tmp_path,
+                                                   monkeypatch):
+        # a stand-in pool that records its size and runs the jobs here, so
+        # no process starts; each real worker would build the whole context
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(experiments, "_CTX", None)
+        farmed = run_experiment(tiny_soliton(tmp_path / "farmed"), workers=4)
+        assert sizes == [2]     # two trajectories, one job each
+        serial = run_experiment(tiny_soliton(tmp_path / "serial"), workers=1)
+        assert sizes == [2]
+        for pa, pb in zip(sorted(farmed.paths), sorted(serial.paths)):
+            if pa.endswith(".csv"):
+                assert sha_of(pa) == sha_of(pb), os.path.basename(pa)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a = run_experiment(tiny_soliton(tmp_path / "one"), workers=1)
         b = run_experiment(tiny_soliton(tmp_path / "two"), workers=1)

@@ -50,21 +50,6 @@ class TestEnergy:
         want = np.pi**2 / 2.0 - 3.0 / 16.0
         assert discrete_energy(u, mesh) == pytest.approx(want, rel=1e-3)
 
-    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
-    def test_accepts_prebuilt_derivative_operator(self, dimension):
-        from odds_nls.mesh import assemble_global
-        axes = (build_mesh(-1.0, 1.0, 2, 10), build_mesh(0.0, 2.0, 3, 6))
-        if dimension == 1:
-            mesh = axes[0]
-            u = np.exp(-mesh.nodes**2) + 0j
-            D1 = assemble_global(mesh, 1)
-        else:
-            mesh = axes
-            X, Y = np.meshgrid(axes[0].nodes, axes[1].nodes, indexing="ij")
-            u = np.exp(-X**2 - (Y - 1.0)**2) * np.exp(0.5j * X)
-            D1 = tuple(assemble_global(axis, 1) for axis in axes)
-        assert discrete_energy(u, mesh, D1) == discrete_energy(u, mesh)
-
     def test_2d_value_for_separable_gaussian(self):
         # for u = exp(-(x^2+y^2)/2) on a wide box the integrals are Gaussian:
         # 1/2 int |grad u|^2 = pi/2, 1/4 int u^4 = pi/8

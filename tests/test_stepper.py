@@ -4,6 +4,7 @@ import pytest
 from odds_nls.linalg import SolverOptions, build_cn_system, cn_step_linear
 from odds_nls.mesh import assemble_global, build_mesh
 from odds_nls.noise import NoiseModel1D, NoiseModel2D, ReplayNoise, draw_path
+from odds_nls.observables import discrete_charge, discrete_energy
 from odds_nls.stepper import (ProblemSpec, RunOptions, StepFailure,
                               TrajectoryResult, nonlinear_flow, odds_step_1d,
                               odds_step_2d, run_trajectory, state_sha256)
@@ -104,7 +105,7 @@ class TestRunTrajectory:
         def terminal(n_steps):
             opts = RunOptions(solver=TIGHT, record_invariants=False)
             return run_trajectory(u0.copy(), mesh, problem, T / n_steps,
-                                  n_steps, options=opts).state.values
+                                  n_steps, options=opts).values
 
         ref = terminal(512)
         errs = [np.max(np.abs(terminal(n) - ref)) for n in (16, 32, 64)]
@@ -112,25 +113,33 @@ class TestRunTrajectory:
         for r in ratios:
             assert 1.6 < r < 2.6, ratios
 
-    def test_invariant_series_and_snapshot_bookkeeping(self):
+    @pytest.mark.parametrize("stride, samples", [(2, [0, 2, 4, 6, 8, 10]),
+                                                 (3, [0, 3, 6, 9, 10])],
+                             ids=["stride2", "stride3"])
+    def test_invariant_series_and_snapshot_bookkeeping(self, stride,
+                                                       samples):
         mesh = build_mesh(-1.0, 1.0, 2, 6)
         u0 = np.sin(np.pi * mesh.nodes) + 0j
         u0[0] = u0[-1] = 0.0
         problem = ProblemSpec(lam=1.0, eps=0.0)
-        opts = RunOptions(snapshot_steps=(0, 3, 10), invariant_stride=2)
+        opts = RunOptions(snapshot_steps=(0, 3, 10), invariant_stride=stride)
         res = run_trajectory(u0.copy(), mesh, problem, 0.01, 10, t0=0.5,
                              options=opts)
         assert isinstance(res, TrajectoryResult)
-        assert res.n_steps == 10
-        # t0, every second step, and the final step
+        # t0, every stride-th step, and the final step
         np.testing.assert_allclose(
-            res.times, 0.5 + 0.01 * np.array([0, 2, 4, 6, 8, 10]), atol=1e-14)
+            res.times, 0.5 + 0.01 * np.array(samples), atol=1e-14)
         assert res.charge.shape == res.times.shape
         assert res.energy.shape == res.times.shape
         assert set(res.snapshots) == {0, 3, 10}
         np.testing.assert_array_equal(res.snapshots[0], u0)
-        np.testing.assert_array_equal(res.snapshots[10], res.state.values)
-        assert res.state.t == pytest.approx(0.6)
+        np.testing.assert_array_equal(res.snapshots[10], res.values)
+        assert res.t == pytest.approx(0.6)
+        # each sample is the invariants of the state it was taken from
+        assert res.charge[0] == discrete_charge(u0, mesh.nodes)
+        assert res.energy[0] == discrete_energy(u0, mesh)
+        assert res.charge[-1] == discrete_charge(res.values, mesh.nodes)
+        assert res.energy[-1] == discrete_energy(res.values, mesh)
 
     def test_noise_not_consulted_when_eps_zero(self):
         class Boom:
@@ -172,7 +181,7 @@ class TestRunTrajectory:
             opts = RunOptions(noise=model.trajectory(traj_index),
                               record_invariants=False)
             return run_trajectory(u0.copy(), mesh, problem, 0.01, 5,
-                                  options=opts).state.values
+                                  options=opts).values
 
         np.testing.assert_array_equal(final(0), final(0))
         assert np.max(np.abs(final(0) - final(1))) > 1e-8
@@ -229,7 +238,7 @@ class TestRunTrajectory:
         with pytest.raises(StepFailure) as info:
             run_trajectory(u0, mesh, problem, 0.01, 5, options=opts)
         assert info.value.step == 3
-        assert info.value.state_sha256 == state_sha256(clean.state.values)
+        assert info.value.state_sha256 == state_sha256(clean.values)
 
     def test_nan_state_fails_at_step_zero(self):
         # a NaN must fail the first solve's residual check at once, not
@@ -249,6 +258,13 @@ class TestRunTrajectory:
         problem = ProblemSpec()
         with pytest.raises(ValueError):
             run_trajectory(np.zeros(3, complex), mesh, problem, 0.01, 1)
+
+    @pytest.mark.parametrize("tau", [0.0, -0.01, np.inf, np.nan])
+    def test_rejects_a_tau_that_is_not_positive_and_finite(self, tau):
+        mesh = build_mesh(-1.0, 1.0, 2, 6)
+        u0 = np.zeros(mesh.n_nodes, complex)
+        with pytest.raises(ValueError, match="tau must be positive"):
+            run_trajectory(u0, mesh, ProblemSpec(), tau, 0)
 
     @pytest.mark.parametrize("stride", [0, -3])
     def test_rejects_invariant_stride_below_one(self, stride):
@@ -304,7 +320,7 @@ class TestBlock:
             opts = RunOptions(noise=ReplayNoise(noise), solver=TIGHT,
                               record_invariants=False)
             return run_trajectory(u0, self.mesh, problem, tau, n_steps,
-                                  options=opts).state.values
+                                  options=opts).values
 
         block = final(np.repeat(self.u0[:, None], 3, axis=1), path)
         assert block.shape == (self.mesh.n_nodes, 3)
@@ -393,7 +409,7 @@ class TestStep2D:
         problem = ProblemSpec(lam=1.0, eps=0.0)
         res = run_trajectory(u0, (mx, my), problem, 0.01, 10,
                              options=RunOptions(invariant_stride=5))
-        assert res.state.values.shape == u0.shape
+        assert res.values.shape == u0.shape
         q = res.charge
         assert abs(q[-1] - q[0]) / q[0] < 1e-2
 
@@ -412,7 +428,7 @@ class TestStep2D:
             opts = RunOptions(noise=model.trajectory(0),
                               record_invariants=False)
             return run_trajectory(u0.copy(), (mx, my), problem, 0.01, 4,
-                                  options=opts).state.values
+                                  options=opts).values
 
         np.testing.assert_array_equal(final(), final())
 
