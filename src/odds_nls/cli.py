@@ -10,8 +10,9 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import (ConfigError, apply_overrides, builtin_configs,
-                     builtin_efficiency_2d, config_schema, load_config)
+from .config import (ConfigError, ExperimentConfig, apply_overrides,
+                     builtin_configs, builtin_efficiency_2d, config_schema,
+                     load_config)
 from .experiments import run_experiment
 from .stepper import StepFailure
 
@@ -54,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args) -> "ExperimentConfig":
+def _resolve_config(args) -> ExperimentConfig:
     if args.command == "convergence":
         config = builtin_configs()["convergence"]
     elif args.command == "efficiency":
@@ -83,16 +84,14 @@ def main(argv=None) -> int:
     if args.command == "print-config-schema":
         print(config_schema())
         return 0
-    try:
-        config = _resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     if args.workers < 1:
         print("config error: --workers must be positive", file=sys.stderr)
         return 2
     try:
-        result = run_experiment(config, workers=args.workers)
+        result = run_experiment(_resolve_config(args), workers=args.workers)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except StepFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -18,8 +18,14 @@ class ConfigError(Exception):
     """Invalid or inconsistent experiment configuration."""
 
 
-def _whole(ratio: float) -> bool:
-    return abs(ratio - round(ratio)) <= 1e-9
+def whole_steps(time: float, tau: float, name: str = "t_final") -> int:
+    """time as a whole number of steps of tau; ConfigError naming the time
+    and tau when it is more than 1e-9 of a step off the grid."""
+    ratio = time / tau
+    if abs(ratio - round(ratio)) > 1e-9:
+        raise ConfigError(f"{name} {time:g} is not a whole number of steps "
+                          f"of tau {tau:g}")
+    return round(ratio)
 
 
 @dataclass(frozen=True)
@@ -92,20 +98,24 @@ class ExperimentConfig:
         if any(t < 0 or t > self.t_final + 1e-12 for t in self.snapshot_times):
             raise ConfigError("snapshot_times must lie in [0, t_final]")
         if self.kind == "convergence":
-            if not self.tau_ladder:
-                raise ConfigError("convergence requires tau_ladder")
             if self.tau_ref <= 0:
                 raise ConfigError("convergence requires positive tau_ref")
             if any(t <= self.tau_ref for t in self.tau_ladder):
                 raise ConfigError("every ladder tau must exceed tau_ref")
             for t in self.tau_ladder:
-                if not _whole(t / self.tau_ref):
-                    raise ConfigError("ladder taus must be integer multiples "
-                                      "of tau_ref (coupled-path aggregation)")
-            for t in (self.tau_ref, *self.tau_ladder):
-                if not _whole(self.t_final / t):
-                    raise ConfigError(f"t_final {self.t_final:g} is not a "
-                                      f"whole number of steps of tau {t:g}")
+                # coupled paths: each ladder step sums whole reference steps
+                whole_steps(t, self.tau_ref, "ladder tau")
+        # on the grid of every tau the run takes, snapshot times named first
+        for tau in ((self.tau_ref, *self.tau_ladder)
+                    if self.kind == "convergence" else (self.tau,)):
+            for t in self.snapshot_times:
+                whole_steps(t, tau, "snapshot time")
+            whole_steps(self.t_final, tau)
+        # the order fit needs two levels; a repeated one would run twice
+        if self.kind == "convergence" and (
+                len(set(self.tau_ladder)) < max(2, len(self.tau_ladder))):
+            raise ConfigError("tau_ladder must hold at least two distinct "
+                              f"taus, got {list(self.tau_ladder)}")
         if self.kind == "efficiency":
             if self.dimension not in (1, 2):
                 raise ConfigError("dimension must be 1 or 2")
@@ -116,6 +126,8 @@ class ExperimentConfig:
         if self.kind == "gaussian2d" and self.eps_values:
             if any(e < 0 for e in self.eps_values):
                 raise ConfigError("eps_values must be non-negative")
+            if len(set(self.eps_values)) < len(self.eps_values):
+                raise ConfigError("eps_values must not repeat a noise size")
         return self
 
     def to_dict(self) -> dict:
@@ -142,7 +154,7 @@ def builtin_configs() -> dict:
         "soliton1d": ExperimentConfig(
             kind="soliton1d", x_left=-20.0, x_right=100.0, lam=1.0, eps=0.01,
             elements=10, degree=30, modes=500, trajectories=1,
-            tau=0.015, t_final=10.0, snapshot_times=(0.0, 5.0, 10.0),
+            tau=0.015, t_final=10.005, snapshot_times=(0.0, 4.995, 10.005),
             invariant_stride=5),
         "collision1d": ExperimentConfig(
             kind="collision1d", x_left=-20.0, x_right=150.0, lam=1.0, eps=0.01,
@@ -164,7 +176,7 @@ def builtin_configs() -> dict:
         "efficiency": ExperimentConfig(
             kind="efficiency", x_left=-20.0, x_right=100.0, lam=1.0, eps=0.01,
             elements=20, degree=30, modes=500, uniform_points=601,
-            tau=0.015, t_final=10.0, dimension=1, repeats=3),
+            tau=0.015, t_final=10.005, dimension=1, repeats=3),
     }
 
 
@@ -271,9 +283,11 @@ def config_schema() -> str:
         "  modes/modes_y   noise truncation per axis",
         "  seed            64-bit master seed",
         "  trajectories    independent sample paths P",
-        "  tau             time step (time units)",
-        "  t_final         horizon T (time units)",
-        "  snapshot_times  times whose profiles are written (time units)",
+        "  tau             time step (time units; convergence steps tau_ref",
+        "                  and each ladder tau instead)",
+        "  t_final         horizon T (time units), whole steps of each tau",
+        "  snapshot_times  times whose profiles are written (time units),",
+        "                  in [0, t_final], whole steps of each tau",
         "  invariant_stride  record charge/energy every this many steps",
         "  output_dir      artifact directory (env ODDS_NLS_OUTPUT overrides)",
         "  tau_ladder/tau_ref        convergence: coarse taus and reference tau",

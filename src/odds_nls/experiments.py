@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .baselines import (FDSCN1D, FDSCN2D, SMM1D, SMM2D, run_uniform_trajectory,
                         uniform_grid_1d)
-from .config import ExperimentConfig, config_hash
+from .config import ExperimentConfig, config_hash, whole_steps
 from .mesh import build_mesh
 from .noise import (NoiseModel1D, NoiseModel2D, ReplayNoise, coarsen,
                     draw_path)
@@ -254,29 +254,12 @@ def _charge_drift(series) -> float | None:
 
 
 def _n_steps(config: ExperimentConfig) -> int:
-    """Steps of config.tau taken to reach config.t_final, rounded."""
-    return round(config.t_final / config.tau)
+    return whole_steps(config.t_final, config.tau)
 
 
-def _snapshot_steps(config: ExperimentConfig):
-    steps = sorted({round(t / config.tau) for t in config.snapshot_times})
-    n_steps = _n_steps(config)
-    return tuple(s for s in steps if 0 <= s <= n_steps)
-
-
-def _time_grid(config: ExperimentConfig, snapshots: bool = True) -> dict:
-    """Manifest record of the times a run reaches on its step grid.
-
-    t_final need not be a whole number of steps: builtin soliton1d takes
-    667 steps of 0.015, which end at t = 10.005, not 10. The snapshot times
-    are those written, each step * tau.
-    """
-    n_steps = _n_steps(config)
-    grid = {"n_steps": n_steps, "realised_t_final": n_steps * config.tau}
-    if snapshots:
-        grid["realised_snapshot_times"] = [
-            step * config.tau for step in _snapshot_steps(config)]
-    return grid
+def _snapshot_steps(config: ExperimentConfig) -> tuple:
+    return tuple(sorted({whole_steps(t, config.tau, "snapshot time")
+                         for t in config.snapshot_times}))
 
 
 # ---------------------------------------------------------------------- set-up
@@ -400,7 +383,7 @@ def run_trajectories_1d(config: ExperimentConfig,
     man = _manifest(config, trajectories, stages, paths, failures,
                     extra={"charge_drift": _charge_drift(
                                res.charge for _, res in runs),
-                           **_time_grid(config)})
+                           "n_steps": _n_steps(config)})
     paths.append(_write_manifest(dirpath, man))
     return RunResult(man, paths)
 
@@ -465,7 +448,7 @@ def run_gaussian2d(config: ExperimentConfig, workers: int = 1) -> RunResult:
     man = _manifest(config, [0], stages, paths, failures,
                     extra={"eps_sweep": list(eps_values),
                            "charge_drift": _charge_drift(per_run),
-                           **_time_grid(config)})
+                           "n_steps": n_steps})
     paths.append(_write_manifest(dirpath, man))
     return RunResult(man, paths)
 
@@ -495,7 +478,7 @@ def _convergence_job(ctx, block):
     """
     config, mesh, u0, model, weights = ctx
     prob = ProblemSpec(config.lam, config.eps)
-    n_ref = round(config.t_final / config.tau_ref)
+    n_ref = whole_steps(config.t_final, config.tau_ref)
     fine = draw_path(model, block, n_ref, config.tau_ref)
     start = np.repeat(u0[:, None], len(block), axis=1)
 
@@ -507,7 +490,8 @@ def _convergence_job(ctx, block):
     ref = terminal(config.tau_ref, fine)
     out = np.empty((len(block), len(config.tau_ladder)))
     for i, tau in enumerate(config.tau_ladder):
-        diff = terminal(tau, coarsen(fine, round(tau / config.tau_ref))) - ref
+        factor = whole_steps(tau, config.tau_ref, "ladder tau")
+        diff = terminal(tau, coarsen(fine, factor)) - ref
         out[:, i] = weights @ np.abs(diff) ** 2
     return out
 
@@ -627,7 +611,7 @@ def run_efficiency(config: ExperimentConfig, workers: int = 1) -> RunResult:
     man = _manifest(config, reps, stages, paths, [],
                     extra={"medians": medians,
                            "fixed_point_iterations": iterations,
-                           **_time_grid(config, snapshots=False)})
+                           "n_steps": n_steps})
     paths.append(_write_manifest(dirpath, man))
     return RunResult(man, paths, data=medians)
 
@@ -642,4 +626,5 @@ RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
-    return RUNNERS[config.kind](config, workers=workers)
+    """Validate config, then run it; ConfigError before any output."""
+    return RUNNERS[config.kind](config.validate(), workers=workers)

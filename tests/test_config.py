@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import typing
 
 import pytest
 
@@ -7,14 +9,20 @@ from odds_nls import cli
 from odds_nls.config import (ConfigError, ExperimentConfig, apply_overrides,
                              builtin_configs, builtin_efficiency_2d,
                              config_hash, config_schema, from_mapping,
-                             load_config)
+                             load_config, whole_steps)
 
 
 def test_builtins_all_validate():
+    # and each is the whole number of steps it always took: soliton1d and
+    # efficiency take 667 steps of 0.015, which end at 10.005
+    steps = {"soliton1d": 667, "collision1d": 10000, "gaussian2d": 100,
+             "convergence": 256, "efficiency": 667}
     for name, cfg in builtin_configs().items():
         assert cfg.kind == name
         cfg.validate()
-    builtin_efficiency_2d().validate()
+        assert whole_steps(cfg.t_final, cfg.tau) == steps[name]
+    cfg = builtin_efficiency_2d().validate()
+    assert whole_steps(cfg.t_final, cfg.tau) == 40
 
 
 def test_builtin_names():
@@ -61,6 +69,68 @@ class TestValidation:
         with pytest.raises(ConfigError, match="whole number of steps"):
             cfg.validate()
 
+    @pytest.mark.parametrize("kind", ["soliton1d", "collision1d",
+                                      "gaussian2d", "efficiency"])
+    def test_rejects_t_final_off_the_step_grid(self, kind):
+        base = builtin_configs()[kind]
+        cfg = dataclasses.replace(base, t_final=base.t_final + base.tau / 2,
+                                  snapshot_times=())
+        with pytest.raises(ConfigError, match=re.escape(
+                f"t_final {cfg.t_final:g} is not a whole number of steps "
+                f"of tau {base.tau:g}")):
+            cfg.validate()
+
+    @pytest.mark.parametrize("kind", ["soliton1d", "collision1d",
+                                      "gaussian2d", "efficiency"])
+    def test_rejects_a_snapshot_time_off_the_step_grid(self, kind):
+        base = builtin_configs()[kind]
+        cfg = dataclasses.replace(base, snapshot_times=(0.0, 2.5 * base.tau))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"snapshot time {2.5 * base.tau:g} is not a whole number of "
+                f"steps of tau {base.tau:g}")):
+            cfg.validate()
+
+    def test_convergence_snapshot_must_lie_on_every_ladder_grid(self):
+        # one reference step is on the tau_ref grid but not on the ladder's
+        base = builtin_configs()["convergence"]
+        cfg = dataclasses.replace(base, snapshot_times=(base.tau_ref,))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"snapshot time {base.tau_ref:g} is not a whole number of "
+                f"steps of tau {base.tau_ladder[0]:g}")):
+            cfg.validate()
+
+    @pytest.mark.parametrize("ladder", [
+        (), (0.0625,), (0.0625, 0.0625), (0.0625, 0.0625, 0.03125)],
+        ids=["empty", "one", "one_repeated", "repeated"])
+    def test_rejects_a_ladder_of_fewer_than_two_distinct_taus(self, ladder):
+        cfg = dataclasses.replace(builtin_configs()["convergence"],
+                                  tau_ladder=ladder)
+        with pytest.raises(ConfigError, match="^tau_ladder must hold at "
+                                              "least two distinct taus"):
+            cfg.validate()
+
+    def test_rejects_repeated_eps_values(self):
+        cfg = dataclasses.replace(builtin_configs()["gaussian2d"],
+                                  eps_values=(0.5, 1.0, 0.5))
+        with pytest.raises(ConfigError, match="^eps_values must not repeat"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["convergence", "--set", "trajectories=2",
+          "--set", "tau_ladder=[0.0625]"], "tau_ladder must hold"),
+        (["convergence", "--set", "trajectories=2",
+          "--set", "tau_ladder=[0.0625, 0.0625, 0.03125]"],
+         "tau_ladder must hold"),
+        (["run", "gaussian2d", "--set", "eps_values=[0.5, 0.5]"],
+         "eps_values must not repeat"),
+    ], ids=["one_level_ladder", "repeated_ladder_tau", "repeated_eps"])
+    def test_cli_exits_2_before_any_run(self, argv, message, tmp_path,
+                                        capsys):
+        code = cli.main(argv + ["--output-dir", str(tmp_path)])
+        assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("name", [
@@ -102,9 +172,9 @@ class TestValidation:
 
 class TestMappingAndFiles:
     def test_from_mapping_merges_onto_builtin(self):
-        cfg = from_mapping({"kind": "soliton1d", "tau": 0.02,
+        cfg = from_mapping({"kind": "soliton1d", "tau": 0.005,
                             "trajectories": 4})
-        assert cfg.tau == 0.02
+        assert cfg.tau == 0.005
         assert cfg.trajectories == 4
         assert cfg.elements == 10  # untouched builtin default
 
@@ -117,8 +187,8 @@ class TestMappingAndFiles:
             from_mapping({"tau": 0.02})
 
     def test_scalar_snapshot_promoted_to_tuple(self):
-        cfg = from_mapping({"kind": "soliton1d", "snapshot_times": 5.0})
-        assert cfg.snapshot_times == (5.0,)
+        cfg = from_mapping({"kind": "soliton1d", "snapshot_times": 1.5})
+        assert cfg.snapshot_times == (1.5,)
 
     def test_non_integer_rejected_for_int_fields(self):
         with pytest.raises(ConfigError):
@@ -181,11 +251,11 @@ class TestMappingAndFiles:
     def test_load_config_roundtrip(self, tmp_path):
         path = tmp_path / "run.yaml"
         path.write_text("kind: collision1d\ntau: 0.012\n"
-                        "snapshot_times: [0.0, 1.0]\n")
+                        "snapshot_times: [0.0, 1.2]\n")
         cfg = load_config(str(path))
         assert cfg.kind == "collision1d"
         assert cfg.tau == 0.012
-        assert cfg.snapshot_times == (0.0, 1.0)
+        assert cfg.snapshot_times == (0.0, 1.2)
 
     def test_load_config_missing_file(self):
         with pytest.raises(ConfigError):
@@ -201,9 +271,9 @@ class TestMappingAndFiles:
 class TestOverrides:
     def test_key_value_pairs_parse_into_fields(self):
         base = builtin_configs()["soliton1d"]
-        cfg = apply_overrides(base, ["tau=0.03", "seed=7",
+        cfg = apply_overrides(base, ["tau=0.005", "seed=7",
                                      "snapshot_times=[0.0, 2.0]"])
-        assert cfg.tau == 0.03
+        assert cfg.tau == 0.005
         assert cfg.seed == 7
         assert cfg.snapshot_times == (0.0, 2.0)
 
@@ -236,3 +306,8 @@ def test_schema_text_mentions_every_field():
     text = config_schema()
     for f in dataclasses.fields(ExperimentConfig):
         assert f.name in text
+
+
+def test_cli_type_hints_resolve():
+    hints = typing.get_type_hints(cli._resolve_config)
+    assert hints["return"] is ExperimentConfig

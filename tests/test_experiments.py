@@ -18,7 +18,7 @@ import pytest
 
 import odds_nls.cli as cli
 import odds_nls.experiments as experiments
-from odds_nls.config import builtin_configs, from_mapping
+from odds_nls.config import ConfigError, builtin_configs, from_mapping
 from odds_nls.experiments import (RunResult, cells, collision_datum,
                                   gaussian_datum, run_experiment,
                                   soliton_datum, write_csv)
@@ -297,26 +297,33 @@ class TestSolitonRunner:
             assert record["state_sha256"] == state_sha256(u0)
             assert "step 0" in record["error"]
 
-    def test_manifest_records_the_realised_time_grid(self, tmp_path):
-        # 0.1 / 0.015 is not a whole number of steps: the run takes 7 and
-        # ends at 0.105, and snapshot 0.05 is written at step 3, t = 0.045
-        cfg = tiny_soliton(tmp_path, tau=0.015, t_final=0.1,
-                           snapshot_times=[0.0, 0.05, 0.1])
-        result = run_experiment(cfg, workers=1)
-        man = result.manifest
-        assert man["n_steps"] == 7
-        assert man["realised_t_final"] == 7 * 0.015
-        assert man["realised_snapshot_times"] == [0.0, 3 * 0.015, 7 * 0.015]
+    @pytest.mark.parametrize("changes, message", [
+        ({"t_final": 0.11}, "t_final 0.11 is not a whole number of steps "
+                            "of tau 0.02"),
+        ({"snapshot_times": (0.0, 0.05)}, "snapshot time 0.05 is not a "
+                                          "whole number of steps of tau 0.02"),
+        ({"degree": 1}, "element degree must be at least 2"),
+    ], ids=["t_final", "snapshot", "degree"])
+    def test_run_experiment_rejects_an_invalid_config_before_any_output(
+            self, tmp_path, changes, message):
+        # dataclasses.replace skips validation; run_experiment does not
+        cfg = dataclasses.replace(tiny_soliton(tmp_path), **changes)
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(cfg, workers=1)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_snapshots_are_written_at_their_own_steps(self, tmp_path):
+        result = run_experiment(
+            tiny_soliton(tmp_path, snapshot_times=[0.1, 0.0, 0.06]))
+        assert result.manifest["n_steps"] == 5
+        assert not any(key.startswith("realised") for key in result.manifest)
         profiles = [p for p in result.paths if p.endswith("profiles.csv")][0]
         with open(profiles) as fh:
             written = {float(row[1]) for row in list(csv.reader(fh))[1:]}
-        assert written == set(man["realised_snapshot_times"])
-        # the builtin soliton1d horizon of 10 is reached at 10.005
-        grid = experiments._time_grid(builtin_configs()["soliton1d"])
-        assert grid["n_steps"] == 667
-        assert grid["realised_t_final"] == pytest.approx(10.005, abs=1e-12)
-        assert grid["realised_snapshot_times"][1:] == [
-            333 * 0.015, 667 * 0.015]
+        assert written == {0.0, 3 * 0.02, 5 * 0.02}
+        # builtin soliton1d's snapshots 4.995 and 10.005 are steps 333, 667
+        assert experiments._snapshot_steps(
+            builtin_configs()["soliton1d"]) == (0, 333, 667)
 
     def test_manifest_charge_drift_matches_charge_csv(self, tmp_path):
         # soliton1d and collision1d key charge.csv by trajectory, gaussian2d
@@ -443,7 +450,6 @@ class TestOtherRunners:
         result = run_experiment(cfg, workers=1)
         assert result.manifest["eps_sweep"] == [0.0, 1.0]
         assert result.manifest["n_steps"] == 2
-        assert result.manifest["realised_snapshot_times"] == [0.0, 2 * 0.02]
         surf = [p for p in result.paths if p.endswith("surfaces.csv")][0]
         rows = np.genfromtxt(surf, delimiter=",", names=True,
                              deletechars="()")
@@ -720,7 +726,6 @@ class TestOtherRunners:
         assert len(drawn["SMM"]) == 3
         assert not np.array_equal(*drawn["SMM"][:2])    # repeats differ
         assert result.manifest["n_steps"] == 3
-        assert "realised_snapshot_times" not in result.manifest
 
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_every_efficiency_repeat_assembles_its_own_operators(
@@ -830,6 +835,28 @@ class TestCLI:
                          "--set", "trajectories=1"])
         assert code == 0
         assert (tmp_path / "via_env" / "soliton1d").is_dir()
+
+    def test_off_grid_override_exits_2_naming_the_time(self, tmp_path,
+                                                      capsys):
+        code = cli.main(["run", "soliton1d", "--set", "tau=0.01",
+                         "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert ("snapshot time 4.995 is not a whole number of steps of "
+                "tau 0.01") in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_invalid_builtin_without_overrides_exits_2(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # a builtin run with no --set is validated by run_experiment
+        off_grid = dataclasses.replace(builtin_configs()["soliton1d"],
+                                       tau=0.01)
+        monkeypatch.setattr(cli, "builtin_configs",
+                            lambda: {"soliton1d": off_grid})
+        code = cli.main(["run", "soliton1d", "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert ("config error: snapshot time 4.995 is not a whole number"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_builtin_is_usage_error(self, capsys):
         assert cli.main(["run", "not-an-experiment"]) == 2
