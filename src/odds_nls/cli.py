@@ -19,7 +19,7 @@ from .stepper import StepFailure
 
 def _add_run_flags(parser):
     parser.add_argument("--workers", type=int, default=1,
-                        help="trajectory farm processes (default 1)")
+                        help="processes that farm the runs (default 1)")
     parser.add_argument("--output-dir", default=None,
                         help="artifact root directory")
     parser.add_argument("--set", dest="overrides", action="append",

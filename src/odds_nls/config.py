@@ -123,6 +123,10 @@ class ExperimentConfig:
                 raise ConfigError("efficiency requires uniform_points >= 3")
             if self.repeats < 3:
                 raise ConfigError("efficiency requires at least 3 repeats")
+        if self.kind == "gaussian2d" and self.trajectories != 1:
+            raise ConfigError("gaussian2d runs trajectory 0 for each noise "
+                              "size of its sweep; trajectories must be 1, "
+                              f"got {self.trajectories}")
         if self.kind == "gaussian2d" and self.eps_values:
             if any(e < 0 for e in self.eps_values):
                 raise ConfigError("eps_values must be non-negative")
@@ -163,7 +167,7 @@ def builtin_configs() -> dict:
             invariant_stride=100),
         "gaussian2d": ExperimentConfig(
             kind="gaussian2d", x_left=-10.0, x_right=10.0, y_left=-10.0,
-            y_right=10.0, lam=1.0, eps=1.0, eps_values=(1.0,),
+            y_right=10.0, lam=1.0, eps=1.0,
             elements=4, degree=32, elements_y=4, degree_y=32,
             modes=64, modes_y=64, trajectories=1,
             tau=0.01, t_final=1.0, snapshot_times=(0.0, 0.5, 1.0),
@@ -278,11 +282,12 @@ def config_schema() -> str:
         "  lam             cubic coefficient lambda (dimensionless)",
         "  eps             noise size (dimensionless)",
         "  eps_values      gaussian2d: list of noise sizes swept in one run",
+        "                  (empty: eps alone), each on trajectory 0",
         "  elements/degree           overlapping elements M and degree J",
         "  elements_y/degree_y       second axis, 2D runs only",
         "  modes/modes_y   noise truncation per axis",
         "  seed            64-bit master seed",
-        "  trajectories    independent sample paths P",
+        "  trajectories    independent sample paths P (1 for gaussian2d)",
         "  tau             time step (time units; convergence steps tau_ref",
         "                  and each ladder tau instead)",
         "  t_final         horizon T (time units), whole steps of each tau",

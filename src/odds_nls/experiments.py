@@ -1,8 +1,8 @@
 """Config-driven experiment harness writing plot-ready CSV artifacts.
 
-Each runner builds its setup from an ExperimentConfig, farms trajectories over
-a process pool (seeds are pre-assigned per trajectory index, results reduced
-in index order, so outputs are byte-identical for any worker count), and
+Each runner builds its setup from an ExperimentConfig, farms its runs over a
+process pool (seeds are pre-assigned per trajectory index, results reduced
+in run order, so outputs are byte-identical for any worker count), and
 writes long-format CSVs plus a JSON manifest holding the config, its hash,
 per-trajectory seeds, stage timings, and any step failures, each with the
 seed, trajectory, step, time and state hash that replay it.
@@ -26,7 +26,7 @@ from .config import ExperimentConfig, config_hash, whole_steps
 from .mesh import build_mesh
 from .noise import (NoiseModel1D, NoiseModel2D, ReplayNoise, coarsen,
                     draw_path)
-from .observables import discrete_charge, fit_order, trapezoid_weights
+from .observables import fit_order, trapezoid_weights
 from .stepper import ProblemSpec, RunOptions, StepFailure, run_trajectory
 
 
@@ -239,9 +239,9 @@ def _farm(builder, job_fn, jobs, workers):
 
 
 def _series(runs, name: str):
-    """One block of (trajectory, time, value) cells per run for an invariant."""
-    for p, res in runs:
-        yield [_cell(p), cells(res.times), cells(getattr(res, name))]
+    """One block of (run key, time, value) cells per run for an invariant."""
+    for key, res in runs:
+        yield [_cell(key), cells(res.times), cells(getattr(res, name))]
 
 
 def _charge_drift(series) -> float | None:
@@ -306,149 +306,110 @@ def _start(config: ExperimentConfig, datum, axes):
                                   seed=config.seed)
 
 
-# ------------------------------------------------------ soliton1d, collision1d
+# ------------------------------------------- soliton1d, collision1d, gaussian2d
 
-# kind -> (datum, snapshot file, snapshot value columns, writes energy.csv
-# and energy_mean.csv)
+# kind -> (datum, dimension, snapshot file, run key header, charge unit,
+# snapshot value columns, writes energy.csv and energy_mean.csv)
 _ABS_U = ("abs_u (amplitude)", _modulus_cells)
-_LAYOUT_1D = {
-    "soliton1d": (soliton_datum, "profiles.csv", (_ABS_U,), True),
-    "collision1d": (collision_datum, "snapshots.csv",
+_LAYOUT = {
+    "soliton1d": (soliton_datum, 1, "profiles.csv", "trajectory (index)",
+                  "amplitude^2 x space", (_ABS_U,), True),
+    "collision1d": (collision_datum, 1, "snapshots.csv", "trajectory (index)",
+                    "amplitude^2 x space",
                     (("re_u (amplitude)", lambda u: cells(u.real)),
                      ("im_u (amplitude)", lambda u: cells(u.imag)), _ABS_U),
                     False),
+    "gaussian2d": (gaussian_datum, 2, "surfaces.csv", "eps (dimensionless)",
+                   "amplitude^2 x area", (_ABS_U,), False),
 }
 
 
-def _trajectory_ctx(config, mesh):
-    u0, model = _start(config, _LAYOUT_1D[config.kind][0], [mesh])
-    return config, mesh, u0, model
+def _runs(config: ExperimentConfig):
+    """The runs as (key, eps, noise trajectory), and the manifest fields
+    that name them.
+
+    A 1D run is one trajectory, keyed by its index. gaussian2d runs each
+    noise size of its sweep on trajectory 0, keyed by the noise size.
+    """
+    if config.kind == "gaussian2d":
+        eps_values = list(config.eps_values or (config.eps,))
+        return [(eps, eps, 0) for eps in eps_values], {"eps_sweep": eps_values}
+    return [(p, config.eps, p) for p in range(config.trajectories)], {}
 
 
-def _trajectory_job(ctx, p):
-    config, mesh, u0, model = ctx
-    options = RunOptions(noise=model.trajectory(p) if config.eps else None,
+def _trajectory_ctx(config, axes):
+    u0, model = _start(config, _LAYOUT[config.kind][0], axes)
+    return config, axes, u0, model
+
+
+def _trajectory_job(ctx, run):
+    config, axes, u0, model = ctx
+    _, eps, p = run
+    options = RunOptions(noise=model.trajectory(p) if eps else None,
                          snapshot_steps=_snapshot_steps(config),
                          invariant_stride=config.invariant_stride)
     try:
-        res = run_trajectory(u0, mesh, ProblemSpec(config.lam, config.eps),
-                             config.tau, _n_steps(config),
-                             options=options)
+        res = run_trajectory(u0, axes, ProblemSpec(config.lam, eps),
+                             config.tau, _n_steps(config), options=options)
     except StepFailure as exc:
-        return _failure(config, exc, trajectory=p)
+        return _failure(config, exc, eps=eps, trajectory=p)
     return res
 
 
-def run_trajectories_1d(config: ExperimentConfig,
-                        workers: int = 1) -> RunResult:
-    """Trajectories of a 1D pulse datum: snapshots and invariant series."""
-    _, snapshot_file, columns, energy = _LAYOUT_1D[config.kind]
+def run_trajectories(config: ExperimentConfig,
+                     workers: int = 1) -> RunResult:
+    """Snapshots and invariant series of each run of a pulse datum."""
+    (_, dimension, snapshot_file, key_header, charge_unit, columns,
+     energy) = _LAYOUT[config.kind]
     t0 = time.perf_counter()
-    mesh, = _mesh_axes(config, 1)
-    trajectories = range(config.trajectories)
-    results = _farm(partial(_trajectory_ctx, config, mesh), _trajectory_job,
-                    trajectories, workers)
+    axes = tuple(_mesh_axes(config, dimension))
+    runs, extra = _runs(config)
+    results = _farm(partial(_trajectory_ctx, config, axes), _trajectory_job,
+                    runs, workers)
     t_run = time.perf_counter() - t0
 
     failures = [r for r in results if isinstance(r, dict)]
-    runs = [(p, r) for p, r in enumerate(results) if not isinstance(r, dict)]
+    done = [(key, r) for (key, _, _), r in zip(runs, results)
+            if not isinstance(r, dict)]
     t0 = time.perf_counter()
     dirpath = output_dir(config, config.kind)
-    xs = cells(mesh.nodes)
-    snapshots = ([_cell(p), _cell(step * config.tau), xs,
+    # the grid's coordinate columns in C order, spread from object arrays
+    # of each axis's cells (a tuple per grid point would cost the cyclic
+    # GC several ms on a 2D grid); the same lists in every block, so they
+    # are checked for quoting once
+    coordinates = [grid.ravel().tolist() for grid in np.meshgrid(
+        *(np.array(cells(a.nodes), dtype=object) for a in axes),
+        indexing="ij")]
+    snapshots = ([_cell(key), _cell(step * config.tau), *coordinates,
                   *(values(u) for _, values in columns)]
-                 for p, res in runs
+                 for key, res in done
                  for step, u in sorted(res.snapshots.items()))
     paths = [
         write_csv(os.path.join(dirpath, snapshot_file),
-                  ["trajectory (index)", "time (time units)",
-                   "x (space units)", *(name for name, _ in columns)],
-                  snapshots),
+                  [key_header, "time (time units)",
+                   *("x (space units)", "y (space units)")[:dimension],
+                   *(name for name, _ in columns)], snapshots),
         write_csv(os.path.join(dirpath, "charge.csv"),
-                  ["trajectory (index)", "time (time units)",
-                   "charge (amplitude^2 x space)"], _series(runs, "charge")),
+                  [key_header, "time (time units)",
+                   f"charge ({charge_unit})"], _series(done, "charge")),
     ]
     if energy:
         paths.append(write_csv(
             os.path.join(dirpath, "energy.csv"),
-            ["trajectory (index)", "time (time units)",
-             "energy (energy units)"], _series(runs, "energy")))
-    if energy and runs:
-        energies = np.vstack([r.energy for _, r in runs])
+            [key_header, "time (time units)", "energy (energy units)"],
+            _series(done, "energy")))
+    if energy and done:
+        energies = np.vstack([r.energy for _, r in done])
         paths.append(write_csv(
             os.path.join(dirpath, "energy_mean.csv"),
             ["time (time units)", "mean_energy (energy units)"],
-            [[cells(runs[0][1].times), cells(energies.mean(axis=0))]]))
+            [[cells(done[0][1].times), cells(energies.mean(axis=0))]]))
     stages = {"run": t_run, "write": time.perf_counter() - t0}
-    man = _manifest(config, trajectories, stages, paths, failures,
-                    extra={"charge_drift": _charge_drift(
-                               res.charge for _, res in runs),
+    man = _manifest(config, sorted({p for _, _, p in runs}), stages, paths,
+                    failures,
+                    extra={**extra, "charge_drift": _charge_drift(
+                               res.charge for _, res in done),
                            "n_steps": _n_steps(config)})
-    paths.append(_write_manifest(dirpath, man))
-    return RunResult(man, paths)
-
-
-# ----------------------------------------------------------------- gaussian2d
-
-def run_gaussian2d(config: ExperimentConfig, workers: int = 1) -> RunResult:
-    del workers  # eps sweep shares one trajectory stream; runs are serial
-    eps_values = config.eps_values or (config.eps,)
-    mesh_x, mesh_y = axes = _mesh_axes(config, 2)
-    u0, model = _start(config, gaussian_datum, axes)
-    runs = []
-    failures = []
-    stages = {}
-    n_steps = _n_steps(config)
-    for eps in eps_values:
-        t0 = time.perf_counter()
-        options = RunOptions(noise=model.trajectory(0) if eps else None,
-                             snapshot_steps=_snapshot_steps(config),
-                             record_invariants=False)
-        try:
-            res = run_trajectory(u0, (mesh_x, mesh_y),
-                                 ProblemSpec(config.lam, eps), config.tau,
-                                 n_steps, options=options)
-        except StepFailure as exc:
-            failures.append(_failure(config, exc, eps=eps, trajectory=0))
-            continue
-        finally:
-            stages[f"run_eps_{eps:g}"] = time.perf_counter() - t0
-        runs.append((eps, res))
-    t0 = time.perf_counter()
-    dirpath = output_dir(config, "gaussian2d")
-    snaps = [(eps, step * config.tau, field) for eps, res in runs
-             for step, field in sorted(res.snapshots.items())]
-
-    def surfaces():
-        # one block per snapshot, so the text in memory stays one snapshot
-        # long; the x and y columns are the same objects in every block
-        xs, ys = cells(mesh_x.nodes), cells(mesh_y.nodes)
-        x_col = [x for x in xs for _ in ys]
-        y_col = ys * len(xs)
-        for eps, t, field in snaps:
-            yield [_cell(eps), _cell(t), x_col, y_col, _modulus_cells(field)]
-
-    charges = [discrete_charge(field, mesh_x.nodes, mesh_y.nodes)
-               for _, _, field in snaps]
-    # each run's snapshot charges, in the order charge.csv writes them
-    per_run = np.split(np.array(charges), np.cumsum(
-        [len(res.snapshots) for _, res in runs])[:-1])
-    paths = [
-        write_csv(os.path.join(dirpath, "surfaces.csv"),
-                  ["eps (dimensionless)", "time (time units)",
-                   "x (space units)", "y (space units)",
-                   "abs_u (amplitude)"], surfaces()),
-        write_csv(os.path.join(dirpath, "charge.csv"),
-                  ["eps (dimensionless)", "time (time units)",
-                   "charge (amplitude^2 x area)"],
-                  [[cells([eps for eps, _, _ in snaps]),
-                    cells([t for _, t, _ in snaps]), cells(charges)]]),
-    ]
-    stages["write"] = time.perf_counter() - t0
-    man = _manifest(config, [0], stages, paths, failures,
-                    extra={"eps_sweep": list(eps_values),
-                           "charge_drift": _charge_drift(per_run),
-                           "n_steps": n_steps})
     paths.append(_write_manifest(dirpath, man))
     return RunResult(man, paths)
 
@@ -617,9 +578,9 @@ def run_efficiency(config: ExperimentConfig, workers: int = 1) -> RunResult:
 
 
 RUNNERS = {
-    "soliton1d": run_trajectories_1d,
-    "collision1d": run_trajectories_1d,
-    "gaussian2d": run_gaussian2d,
+    "soliton1d": run_trajectories,
+    "collision1d": run_trajectories,
+    "gaussian2d": run_trajectories,
     "convergence": run_convergence,
     "efficiency": run_efficiency,
 }

@@ -123,7 +123,10 @@ class TestValidation:
          "tau_ladder must hold"),
         (["run", "gaussian2d", "--set", "eps_values=[0.5, 0.5]"],
          "eps_values must not repeat"),
-    ], ids=["one_level_ladder", "repeated_ladder_tau", "repeated_eps"])
+        (["run", "gaussian2d", "--set", "trajectories=4"],
+         "gaussian2d runs trajectory 0 for each noise size of its sweep"),
+    ], ids=["one_level_ladder", "repeated_ladder_tau", "repeated_eps",
+            "gaussian2d_trajectories"])
     def test_cli_exits_2_before_any_run(self, argv, message, tmp_path,
                                         capsys):
         code = cli.main(argv + ["--output-dir", str(tmp_path)])

@@ -39,6 +39,15 @@ def tiny_soliton(tmp_path, **extra):
     return from_mapping(data)
 
 
+def tiny_gaussian2d(tmp_path, **extra):
+    data = {"kind": "gaussian2d", "elements": 2, "degree": 5,
+            "elements_y": 2, "degree_y": 5, "modes": 6, "modes_y": 6,
+            "tau": 0.02, "t_final": 0.04, "snapshot_times": [0.0, 0.04],
+            "invariant_stride": 1, "output_dir": str(tmp_path)}
+    data.update(extra)
+    return from_mapping(data)
+
+
 def sha_of(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -292,7 +301,7 @@ class TestSolitonRunner:
         records = result.manifest["failures"]
         assert [r["trajectory"] for r in records] == [0, 1]
         for record in records:
-            assert record["seed"] == 5
+            assert (record["seed"], record["eps"]) == (5, cfg.eps)
             assert (record["step"], record["time"]) == (0, 0.0)
             assert record["state_sha256"] == state_sha256(u0)
             assert "step 0" in record["error"]
@@ -377,13 +386,16 @@ class TestSolitonRunner:
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         # seeds are keyed by trajectory index and reduction order is fixed,
-        # so a process farm of any size must reproduce the serial bytes
-        a = run_experiment(tiny_soliton(tmp_path / "serial"), workers=1)
-        b = run_experiment(tiny_soliton(tmp_path / "farmed"), workers=4)
-        for pa, pb in zip(sorted(a.paths), sorted(b.paths)):
-            assert os.path.basename(pa) == os.path.basename(pb)
-            if pa.endswith(".csv"):
-                assert sha_of(pa) == sha_of(pb), os.path.basename(pa)
+        # so a process farm of any size must reproduce the serial bytes;
+        # gaussian2d farms its eps sweep, one job per noise size
+        for config in (tiny_soliton,
+                       partial(tiny_gaussian2d, eps_values=[0.0, 1.0])):
+            a = run_experiment(config(tmp_path / "serial"), workers=1)
+            b = run_experiment(config(tmp_path / "farmed"), workers=4)
+            for pa, pb in zip(sorted(a.paths), sorted(b.paths), strict=True):
+                assert os.path.basename(pa) == os.path.basename(pb)
+                if pa.endswith(".csv"):
+                    assert sha_of(pa) == sha_of(pb), os.path.basename(pa)
 
     def test_farm_starts_no_more_workers_than_jobs(self, tmp_path,
                                                    monkeypatch):
@@ -470,11 +482,15 @@ class TestOtherRunners:
 
         real_run = experiments.run_trajectory
         monkeypatch.setattr(experiments, "run_trajectory", recording)
+        # charge.csv holds each run's invariant series, sampled every
+        # invariant_stride steps and at the last; here every step, so each
+        # snapshot time is a sample
         cfg = from_mapping({"kind": "gaussian2d", "elements": 2, "degree": 5,
                             "elements_y": 2, "degree_y": 6, "modes": 6,
                             "modes_y": 6, "eps_values": [0.0, 1.0],
                             "tau": 0.02, "t_final": 0.04,
                             "snapshot_times": [0.0, 0.02, 0.04],
+                            "invariant_stride": 1,
                             "output_dir": str(tmp_path)})
         result = run_experiment(cfg, workers=1)
         mesh_x = build_mesh(cfg.x_left, cfg.x_right, cfg.elements, cfg.degree)
@@ -483,12 +499,13 @@ class TestOtherRunners:
         wx = trapezoid_weights(mesh_x.nodes)
         wy = trapezoid_weights(mesh_y.nodes)
         surface_rows, charge_rows = [], []
-        for eps, res in zip(cfg.eps_values, runs):
+        for eps, res in zip(cfg.eps_values, runs, strict=True):
+            charge_rows += [(eps, t, q) for t, q in zip(res.times, res.charge)]
+            charge_at = dict(zip(res.times.tolist(), res.charge.tolist()))
             for step in sorted(res.snapshots):
                 t = step * cfg.tau
                 field = res.snapshots[step]
-                charge_rows.append((eps, t, float(wx @ np.abs(field) ** 2
-                                                  @ wy)))
+                assert charge_at[t] == float(wx @ np.abs(field) ** 2 @ wy)
                 for i, x in enumerate(mesh_x.nodes):
                     for j, y in enumerate(mesh_y.nodes):
                         surface_rows.append((eps, t, x, y, abs(field[i, j])))
@@ -789,16 +806,26 @@ class TestOtherRunners:
 
     def test_gaussian2d_manifest_lists_the_one_trajectory_drawn(self,
                                                                 tmp_path):
-        # every eps of the sweep draws trajectory 0, whatever
-        # config.trajectories says
-        cfg = from_mapping({"kind": "gaussian2d", "elements": 2, "degree": 5,
-                            "elements_y": 2, "degree_y": 5, "modes": 6,
-                            "modes_y": 6, "eps": 1.0, "trajectories": 2,
-                            "seed": 4, "tau": 0.02, "t_final": 0.02,
-                            "snapshot_times": [0.0],
-                            "output_dir": str(tmp_path)})
+        # every eps of the sweep draws trajectory 0, and a config asking
+        # for more trajectories is rejected before any output
+        cfg = tiny_gaussian2d(tmp_path, eps_values=[0.0, 1.0], seed=4)
         result = run_experiment(cfg, workers=1)
         assert result.manifest["per_trajectory_seeds"] == [[4, 0]]
+        assert set(result.manifest["stage_seconds"]) == {"run", "write"}
+        with pytest.raises(ConfigError, match="trajectories must be 1"):
+            run_experiment(dataclasses.replace(
+                cfg, trajectories=2, output_dir=str(tmp_path / "two")))
+        assert not (tmp_path / "two").exists()
+
+    def test_gaussian2d_without_a_sweep_runs_at_eps(self, tmp_path):
+        # the builtin sweeps no eps_values, so --set eps=... sets the one
+        # noise size the run takes
+        result = run_experiment(tiny_gaussian2d(tmp_path, eps=0.5))
+        assert result.manifest["eps_sweep"] == [0.5]
+        path = [p for p in result.paths if p.endswith("charge.csv")][0]
+        with open(path) as fh:
+            keys = {row[0] for row in list(csv.reader(fh))[1:]}
+        assert keys == {"0.5"}
 
 
 class TestCLI:
