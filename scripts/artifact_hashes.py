@@ -9,8 +9,11 @@ byte-identical.
     PYTHONPATH=src python scripts/artifact_hashes.py             # every builtin
     PYTHONPATH=src python scripts/artifact_hashes.py gaussian2d --set seed=1
 
-``timings.csv`` (efficiency) holds measured times, so its hash differs from
-run to run.
+``timings.csv`` (efficiency) holds measured times in its last three
+columns, so its hash differs from run to run. A second line,
+``name timings.csv[:5] sha256 bytes``, hashes its first five columns
+(scheme, dimension, points, steps, repeats), which two checkouts can
+compare.
 
 The BLAS and OpenMP thread counts default to 1, set before numpy loads,
 because gaussian2d's bytes depend on them; an ``OPENBLAS_NUM_THREADS`` or
@@ -60,6 +63,12 @@ def main() -> int:
                     data = fh.read()
                 print(name, os.path.basename(path),
                       hashlib.sha256(data).hexdigest(), len(data), flush=True)
+                if path.endswith("timings.csv"):
+                    fixed = b"".join(b",".join(row.split(b",")[:5]) + b"\r\n"
+                                     for row in data.splitlines())
+                    print(name, "timings.csv[:5]",
+                          hashlib.sha256(fixed).hexdigest(), len(fixed),
+                          flush=True)
         if result.manifest["failures"]:
             print(f"{name}: {len(result.manifest['failures'])} failed run(s)",
                   file=sys.stderr)

@@ -61,7 +61,7 @@ def _resolve_config(args) -> ExperimentConfig:
     elif args.command == "efficiency":
         config = (builtin_configs()["efficiency"] if args.dimension == 1
                   else builtin_efficiency_2d())
-    elif os.path.exists(args.config):
+    elif os.path.isfile(args.config):
         config = load_config(args.config)
     elif args.config in builtin_configs():
         config = builtin_configs()[args.config]

@@ -3,7 +3,8 @@
 Each runner builds its setup from an ExperimentConfig, farms its runs over a
 process pool (seeds are pre-assigned per trajectory index, results reduced
 in run order, so outputs are byte-identical for any worker count), and
-writes long-format CSVs plus a JSON manifest holding the config, its hash,
+returns its tables. run_experiment times the runner, writes the tables as
+long-format CSVs, and writes a JSON manifest holding the config, its hash,
 per-trajectory seeds, stage timings, and any step failures, each with the
 seed, trajectory, step, time and state hash that replay it.
 """
@@ -34,6 +35,23 @@ from .stepper import ProblemSpec, RunOptions, StepFailure, run_trajectory
 class RunResult:
     manifest: dict
     paths: list
+    data: object = None
+
+
+@dataclass(frozen=True)
+class Outputs:
+    """What a runner hands run_experiment to write.
+
+    tables are (file name, header, blocks), each written by write_csv in
+    turn; trajectories are the noise trajectories drawn, failures the
+    records of failed runs, extra the kind's own manifest fields, and data
+    becomes RunResult.data.
+    """
+    subdir: str
+    tables: list
+    trajectories: object
+    failures: list
+    extra: dict
     data: object = None
 
 
@@ -164,14 +182,6 @@ def write_csv(path: str, header, blocks) -> str:
     return path
 
 
-def output_dir(config: ExperimentConfig, subdir: str) -> str:
-    # root resolution (CLI flag > ODDS_NLS_OUTPUT env > config) happens in the
-    # CLI; library callers get config.output_dir as-is
-    path = os.path.join(config.output_dir, subdir)
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def _manifest(config: ExperimentConfig, trajectories, stages: dict,
               artifacts, failures, extra=None) -> dict:
     """The run's manifest; trajectories are the noise trajectories drawn."""
@@ -280,14 +290,6 @@ def _mesh_axes(config: ExperimentConfig, dimension: int) -> list:
     return axes
 
 
-def _uniform_axes(config: ExperimentConfig, dimension: int) -> list:
-    """The reference schemes' uniform grid of each axis, x first."""
-    bounds = [(config.x_left, config.x_right),
-              (config.y_left, config.y_right)][:dimension]
-    return [uniform_grid_1d(lo, hi, config.uniform_points)
-            for lo, hi in bounds]
-
-
 def _start(config: ExperimentConfig, datum, axes):
     """Initial field and noise model on the nodes of one or two axes.
 
@@ -356,23 +358,17 @@ def _trajectory_job(ctx, run):
     return res
 
 
-def run_trajectories(config: ExperimentConfig,
-                     workers: int = 1) -> RunResult:
+def run_trajectories(config: ExperimentConfig, workers: int = 1) -> Outputs:
     """Snapshots and invariant series of each run of a pulse datum."""
     (_, dimension, snapshot_file, key_header, charge_unit, columns,
      energy) = _LAYOUT[config.kind]
-    t0 = time.perf_counter()
     axes = tuple(_mesh_axes(config, dimension))
     runs, extra = _runs(config)
     results = _farm(partial(_trajectory_ctx, config, axes), _trajectory_job,
                     runs, workers)
-    t_run = time.perf_counter() - t0
-
     failures = [r for r in results if isinstance(r, dict)]
     done = [(key, r) for (key, _, _), r in zip(runs, results)
             if not isinstance(r, dict)]
-    t0 = time.perf_counter()
-    dirpath = output_dir(config, config.kind)
     # the grid's coordinate columns in C order, spread from object arrays
     # of each axis's cells (a tuple per grid point would cost the cyclic
     # GC several ms on a 2D grid); the same lists in every block, so they
@@ -384,34 +380,29 @@ def run_trajectories(config: ExperimentConfig,
                   *(values(u) for _, values in columns)]
                  for key, res in done
                  for step, u in sorted(res.snapshots.items()))
-    paths = [
-        write_csv(os.path.join(dirpath, snapshot_file),
-                  [key_header, "time (time units)",
-                   *("x (space units)", "y (space units)")[:dimension],
-                   *(name for name, _ in columns)], snapshots),
-        write_csv(os.path.join(dirpath, "charge.csv"),
-                  [key_header, "time (time units)",
-                   f"charge ({charge_unit})"], _series(done, "charge")),
+    tables = [
+        (snapshot_file,
+         [key_header, "time (time units)",
+          *("x (space units)", "y (space units)")[:dimension],
+          *(name for name, _ in columns)], snapshots),
+        ("charge.csv",
+         [key_header, "time (time units)", f"charge ({charge_unit})"],
+         _series(done, "charge")),
     ]
     if energy:
-        paths.append(write_csv(
-            os.path.join(dirpath, "energy.csv"),
-            [key_header, "time (time units)", "energy (energy units)"],
-            _series(done, "energy")))
+        tables.append(("energy.csv", [key_header, "time (time units)",
+                                      "energy (energy units)"],
+                       _series(done, "energy")))
     if energy and done:
         energies = np.vstack([r.energy for _, r in done])
-        paths.append(write_csv(
-            os.path.join(dirpath, "energy_mean.csv"),
-            ["time (time units)", "mean_energy (energy units)"],
-            [[cells(done[0][1].times), cells(energies.mean(axis=0))]]))
-    stages = {"run": t_run, "write": time.perf_counter() - t0}
-    man = _manifest(config, sorted({p for _, _, p in runs}), stages, paths,
-                    failures,
-                    extra={**extra, "charge_drift": _charge_drift(
-                               res.charge for _, res in done),
-                           "n_steps": _n_steps(config)})
-    paths.append(_write_manifest(dirpath, man))
-    return RunResult(man, paths)
+        tables.append(("energy_mean.csv",
+                       ["time (time units)", "mean_energy (energy units)"],
+                       [[cells(done[0][1].times),
+                         cells(energies.mean(axis=0))]]))
+    extra.update(charge_drift=_charge_drift(res.charge for _, res in done),
+                 n_steps=_n_steps(config))
+    return Outputs(config.kind, tables, sorted({p for _, _, p in runs}),
+                   failures, extra)
 
 
 # ---------------------------------------------------------------- convergence
@@ -457,124 +448,91 @@ def _convergence_job(ctx, block):
     return out
 
 
-def run_convergence(config: ExperimentConfig, workers: int = 1) -> RunResult:
-    t0 = time.perf_counter()
+def run_convergence(config: ExperimentConfig, workers: int = 1) -> Outputs:
     trajectories = range(config.trajectories)
     blocks = [trajectories[i:i + CONVERGENCE_BLOCK]
               for i in range(0, len(trajectories), CONVERGENCE_BLOCK)]
     sq_errors = _farm(partial(_convergence_ctx, config), _convergence_job,
                       blocks, workers)
-    t_run = time.perf_counter() - t0
     taus = np.array(config.tau_ladder)
     order = np.argsort(taus)[::-1]  # fit_order wants decreasing taus
     errs = np.sqrt(np.vstack(sq_errors).mean(axis=0))
     fit = fit_order(taus[order], errs[order])
-    t0 = time.perf_counter()
-    dirpath = output_dir(config, "convergence")
-    paths = [write_csv(os.path.join(dirpath, "table.csv"),
-                       ["tau (time units)", "err (weighted l2 amplitude)",
-                        "order (dimensionless)"],
-                       [[cells(fit.taus), cells(fit.errors),
-                         [""] + cells(fit.orders)]])]
-    stages = {"run": t_run, "write": time.perf_counter() - t0}
-    man = _manifest(config, trajectories, stages, paths, [],
-                    extra={"global_order": fit.global_order,
-                           "tau_ref": config.tau_ref})
-    paths.append(_write_manifest(dirpath, man))
-    return RunResult(man, paths, data=fit)
+    table = ("table.csv", ["tau (time units)", "err (weighted l2 amplitude)",
+                           "order (dimensionless)"],
+             [[cells(fit.taus), cells(fit.errors), [""] + cells(fit.orders)]])
+    return Outputs("convergence", [table], trajectories, [],
+                   {"global_order": fit.global_order,
+                    "tau_ref": config.tau_ref}, data=fit)
 
 
 # ----------------------------------------------------------------- efficiency
 
-# scheme -> (axes of its grid, its stepper in 1D and 2D); the overlapping
-# splitting scheme steps its mesh through run_trajectory
-_SCHEMES = {
-    "odds": (_mesh_axes, None),
-    "smm": (_uniform_axes, (SMM1D, SMM2D)),
-    "fdscn": (_uniform_axes, (FDSCN1D, FDSCN2D)),
-}
+def _schemes(config: ExperimentConfig, n_steps: int) -> dict:
+    """name -> (points per axis, run(rep)) of odds, smm and fdscn.
 
-
-def _timed_run(config: ExperimentConfig, name: str, n_steps: int,
-               starts: dict):
-    """(points per axis, run(rep)) of one scheme at config.dimension.
-
-    run(rep) returns the fixed-point iterations the repeat's steps took, or
-    None for a scheme without a fixed point. starts holds the axes, initial
-    field and noise model of each grid built so far, keyed by its
-    grid_axes; schemes on one grid share them.
+    run(rep) steps one repeat on noise trajectory rep, and returns the
+    fixed-point iterations its steps took, or None for odds, which has no
+    fixed point. Every repeat builds and factors its scheme afresh. SMM and
+    FDSCN share the uniform grid's initial field and noise model.
     """
-    grid_axes, steppers = _SCHEMES[name]
-    if grid_axes not in starts:
-        axes = grid_axes(config, config.dimension)
-        datum = soliton_datum if config.dimension == 1 else gaussian_datum
-        starts[grid_axes] = (axes, *_start(config, datum, axes))
-    axes, u0, model = starts[grid_axes]
-    if steppers is None:
-        prob = ProblemSpec(config.lam, config.eps)
+    dimension = config.dimension
+    datum = soliton_datum if dimension == 1 else gaussian_datum
+    prob = ProblemSpec(config.lam, config.eps)
+    mesh = _mesh_axes(config, dimension)
+    u0, model = _start(config, datum, mesh)
 
-        def once(rep):
-            # a fresh copy of each mesh holds no operators, so every repeat
-            # assembles, cuts and factors its own, as SMM and FDSCN do
-            fresh = {id(axis): replace(axis) for axis in axes}
-            opts = RunOptions(noise=model.trajectory(rep),
-                              record_invariants=False)
-            run_trajectory(u0, tuple(fresh[id(axis)] for axis in axes), prob,
-                           config.tau, n_steps, options=opts)
-    else:
-        def once(rep):
-            # built and factored in every repeat, as run_trajectory does
-            method = steppers[config.dimension - 1](
-                *axes, config.tau, config.lam, config.eps)
-            run_uniform_trajectory(method, u0, n_steps,
-                                   noise=model.trajectory(rep))
-            return method.fixed_point_iterations
+    def odds(rep):
+        # a fresh copy of each mesh holds no operators, so every repeat
+        # assembles, cuts and factors its own, as SMM and FDSCN do
+        fresh = {id(axis): replace(axis) for axis in mesh}
+        opts = RunOptions(noise=model.trajectory(rep), record_invariants=False)
+        run_trajectory(u0, tuple(fresh[id(axis)] for axis in mesh), prob,
+                       config.tau, n_steps, options=opts)
 
-    return axes[0].nodes.size, once
+    bounds = [(config.x_left, config.x_right),
+              (config.y_left, config.y_right)][:dimension]
+    grid = [uniform_grid_1d(lo, hi, config.uniform_points)
+            for lo, hi in bounds]
+    v0, grid_model = _start(config, datum, grid)
+
+    def reference(scheme, rep):
+        method = scheme(*grid, config.tau, config.lam, config.eps)
+        run_uniform_trajectory(method, v0, n_steps,
+                               noise=grid_model.trajectory(rep))
+        return method.fixed_point_iterations
+
+    smm, fdscn = ((SMM1D, FDSCN1D), (SMM2D, FDSCN2D))[dimension - 1]
+    return {"odds": (mesh[0].nodes.size, odds),
+            "smm": (grid[0].nodes.size, partial(reference, smm)),
+            "fdscn": (grid[0].nodes.size, partial(reference, fdscn))}
 
 
-def run_efficiency(config: ExperimentConfig, workers: int = 1) -> RunResult:
+def run_efficiency(config: ExperimentConfig, workers: int = 1) -> Outputs:
     # wall-clock comparison: always serial, one scheme at a time
     del workers
     n_steps = _n_steps(config)
-    starts = {}
-    setups = [(name, *_timed_run(config, name, n_steps, starts))
-              for name in _SCHEMES]
     reps = range(config.repeats)
-    rows = []
-    medians = {}
-    stages = {}
-    iterations = {}
-    for name, points, once in setups:
-        t0 = time.perf_counter()
-        times = []
-        counts = []
+    rows, medians, iterations = [], {}, {}
+    for name, (points, run) in _schemes(config, n_steps).items():
+        times, counts = [], []
         for rep in reps:
-            t1 = time.perf_counter()
-            counts.append(once(rep))
-            times.append(time.perf_counter() - t1)
-        stages[name] = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            counts.append(run(rep))
+            times.append(time.perf_counter() - t0)
         if counts[0] is not None:
             iterations[name] = sum(counts) / (config.repeats * n_steps)
-        med = statistics.median(times)
-        medians[name] = med
+        medians[name] = statistics.median(times)
         rows.append((name, config.dimension, points, n_steps, config.repeats,
-                     med, min(times), max(times)))
-    t0 = time.perf_counter()
-    dirpath = output_dir(config, f"efficiency{config.dimension}d")
-    paths = [write_csv(
-        os.path.join(dirpath, "timings.csv"),
-        ["scheme (name)", "dimension (count)", "points_per_axis (count)",
-         "steps (count)", "repeats (count)", "median_seconds (s)",
-         "min_seconds (s)", "max_seconds (s)"],
-        [[cells(column) for column in zip(*rows)]])]
-    stages["write"] = time.perf_counter() - t0
-    man = _manifest(config, reps, stages, paths, [],
-                    extra={"medians": medians,
-                           "fixed_point_iterations": iterations,
-                           "n_steps": n_steps})
-    paths.append(_write_manifest(dirpath, man))
-    return RunResult(man, paths, data=medians)
+                     medians[name], min(times), max(times)))
+    table = ("timings.csv",
+             ["scheme (name)", "dimension (count)", "points_per_axis (count)",
+              "steps (count)", "repeats (count)", "median_seconds (s)",
+              "min_seconds (s)", "max_seconds (s)"],
+             [[cells(column) for column in zip(*rows)]])
+    return Outputs(f"efficiency{config.dimension}d", [table], reps, [],
+                   {"medians": medians, "fixed_point_iterations": iterations,
+                    "n_steps": n_steps}, data=medians)
 
 
 RUNNERS = {
@@ -587,5 +545,24 @@ RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
-    """Validate config, then run it; ConfigError before any output."""
-    return RUNNERS[config.kind](config.validate(), workers=workers)
+    """Validate config, run it, then write its CSVs and manifest.
+
+    ConfigError comes before any output. The manifest's stage_seconds times
+    the runner as run, and the CSVs' formatting and writing as write.
+    """
+    config = config.validate()
+    t0 = time.perf_counter()
+    out = RUNNERS[config.kind](config, workers=workers)
+    t_run = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    # root resolution (CLI flag > ODDS_NLS_OUTPUT env > config) happens in the
+    # CLI; library callers get config.output_dir as-is
+    dirpath = os.path.join(config.output_dir, out.subdir)
+    os.makedirs(dirpath, exist_ok=True)
+    paths = [write_csv(os.path.join(dirpath, name), header, blocks)
+             for name, header, blocks in out.tables]
+    stages = {"run": t_run, "write": time.perf_counter() - t0}
+    man = _manifest(config, out.trajectories, stages, paths, out.failures,
+                    out.extra)
+    paths.append(_write_manifest(dirpath, man))
+    return RunResult(man, paths, data=out.data)

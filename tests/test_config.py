@@ -260,6 +260,18 @@ class TestMappingAndFiles:
         assert cfg.tau == 0.012
         assert cfg.snapshot_times == (0.0, 1.2)
 
+    def test_directory_named_like_a_builtin_does_not_shadow_it(
+            self, tmp_path, monkeypatch):
+        # a run with output root . leaves ./soliton1d/, and the next run of
+        # the builtin must not take that directory for a config file
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("ODDS_NLS_OUTPUT", raising=False)
+        (tmp_path / "soliton1d").mkdir()
+        assert cli.main(["run", "soliton1d", "--output-dir", ".",
+                         "--set", "t_final=0.15",
+                         "--set", "snapshot_times=[0.0]"]) == 0
+        assert (tmp_path / "soliton1d" / "manifest.json").is_file()
+
     def test_load_config_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/nowhere.yaml")

@@ -48,6 +48,24 @@ def tiny_gaussian2d(tmp_path, **extra):
     return from_mapping(data)
 
 
+# one tiny config of each run kind (efficiency in 1D), output under tmp_path
+TINY = {
+    "soliton1d": tiny_soliton,
+    "collision1d": partial(tiny_soliton, kind="collision1d", x_right=40.0),
+    "gaussian2d": tiny_gaussian2d,
+    "convergence": lambda tmp_path: from_mapping({
+        "kind": "convergence", "elements": 2, "degree": 6, "modes": 20,
+        "trajectories": 2, "tau_ladder": [0.025, 0.0125],
+        "tau_ref": 0.00625, "tau": 0.00625, "t_final": 0.1,
+        "output_dir": str(tmp_path)}),
+    "efficiency": lambda tmp_path: from_mapping({
+        "kind": "efficiency", "x_left": -5.0, "x_right": 5.0,
+        "elements": 2, "degree": 6, "modes": 10, "uniform_points": 11,
+        "tau": 0.02, "t_final": 0.04, "repeats": 3,
+        "output_dir": str(tmp_path)}),
+}
+
+
 def sha_of(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -266,11 +284,20 @@ class TestSolitonRunner:
         assert man["failures"] == []
         assert man["per_trajectory_seeds"] == [[0, 0], [0, 1]]
         assert len(man["config_sha256"]) == 64
+
+    @pytest.mark.parametrize("kind", list(TINY))
+    def test_every_kind_times_run_and_write_and_writes_its_manifest(
+            self, tmp_path, kind):
+        # run_experiment times, writes and manifests every kind alike: the
+        # manifest lists each CSV written and is on disk as returned
+        result = run_experiment(TINY[kind](tmp_path), workers=1)
+        man = result.manifest
+        assert set(man["stage_seconds"]) == {"run", "write"}
         assert all(v >= 0 for v in man["stage_seconds"].values())
-        assert "write" in man["stage_seconds"]
-        # manifest on disk equals the returned one
-        mpath = [p for p in result.paths if p.endswith("manifest.json")][0]
-        with open(mpath) as fh:
+        *csvs, path = result.paths
+        assert os.path.basename(path) == "manifest.json"
+        assert man["artifacts"] == [os.path.basename(p) for p in csvs]
+        with open(path) as fh:
             assert json.load(fh) == man
 
     def test_manifest_bytes_match_json_dump(self, tmp_path):
@@ -811,7 +838,6 @@ class TestOtherRunners:
         cfg = tiny_gaussian2d(tmp_path, eps_values=[0.0, 1.0], seed=4)
         result = run_experiment(cfg, workers=1)
         assert result.manifest["per_trajectory_seeds"] == [[4, 0]]
-        assert set(result.manifest["stage_seconds"]) == {"run", "write"}
         with pytest.raises(ConfigError, match="trajectories must be 1"):
             run_experiment(dataclasses.replace(
                 cfg, trajectories=2, output_dir=str(tmp_path / "two")))
