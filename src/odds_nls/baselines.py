@@ -48,8 +48,9 @@ class UniformGrid1D:
 
 
 def uniform_grid_1d(x_left: float, x_right: float, n_points: int) -> UniformGrid1D:
-    if n_points < 3:
-        raise ValueError("need at least three points")
+    # 3 interior unknowns at least: LAPACK's zgttrf takes no fewer
+    if n_points < 5:
+        raise ValueError(f"need at least five points, got {n_points}")
     if x_right <= x_left:
         raise ValueError("empty domain")
     nodes = np.linspace(x_left, x_right, n_points)

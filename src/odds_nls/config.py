@@ -110,7 +110,9 @@ class ExperimentConfig:
                     if self.kind == "convergence" else (self.tau,)):
             for t in self.snapshot_times:
                 whole_steps(t, tau, "snapshot time")
-            whole_steps(self.t_final, tau)
+            if whole_steps(self.t_final, tau) < 1:
+                raise ConfigError(f"t_final {self.t_final:g} is shorter than "
+                                  f"one step of tau {tau:g}")
         # the order fit needs two levels; a repeated one would run twice
         if self.kind == "convergence" and (
                 len(set(self.tau_ladder)) < max(2, len(self.tau_ladder))):
@@ -119,8 +121,9 @@ class ExperimentConfig:
         if self.kind == "efficiency":
             if self.dimension not in (1, 2):
                 raise ConfigError("dimension must be 1 or 2")
-            if self.uniform_points < 3:
-                raise ConfigError("efficiency requires uniform_points >= 3")
+            # 3 interior unknowns at least: LAPACK's zgttrf takes no fewer
+            if self.uniform_points < 5:
+                raise ConfigError("efficiency requires uniform_points >= 5")
             if self.repeats < 3:
                 raise ConfigError("efficiency requires at least 3 repeats")
         if self.kind == "gaussian2d" and self.trajectories != 1:
@@ -297,6 +300,6 @@ def config_schema() -> str:
         "  output_dir      artifact directory (env ODDS_NLS_OUTPUT overrides)",
         "  tau_ladder/tau_ref        convergence: coarse taus and reference tau",
         "  dimension/repeats/uniform_points  efficiency: 1 or 2, timing",
-        "                  repeats, baseline grid points per axis",
+        "                  repeats, baseline grid points per axis (>= 5)",
     ]
     return "\n".join(lines)

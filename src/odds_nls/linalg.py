@@ -10,12 +10,12 @@ Since E = 2I - A, the step solves A y = 2u^n + f and returns u^{n+1} =
 y - u^n: the two equations are the same, and so are their residuals,
 2u^n + f - A y = E u^n + f - A u^{n+1}. A step thus makes no product with E.
 
-B and B_boundary depend only on the mesh: build_cn_system cuts them from
-the mesh's assembled D2 once per mesh object and keeps them, read-only, on
-that object (OverlapMesh1D.shared). The systems of every step size and
-axis on one mesh share them, and each forms only its own A. A depends only
-on the mesh and tau, so every time step solves it with one complex sparse
-LU factor (LUSolver), built on the first solve. One matvec checks the
+B and B_boundary depend only on the mesh, and A only on the mesh and tau:
+build_cn_system cuts the first two from the mesh's D2 once per mesh object,
+forms each step size's system from them once, and keeps both in that
+object's store (OverlapMesh1D.shared). Every run and axis on that object
+with that tau solves with the one system and its complex sparse LU factor
+(LUSolver), built on the first solve. One matvec checks the
 factor's solution against the max-norm residual target (krylov_solve,
 krylov_solve_block for many right-hand sides); only a solution that misses
 it is refined by SciPy's restarted GMRES. LUSolver factors a Tridiagonal,
@@ -282,17 +282,18 @@ def _diagonal_mask(B: sp.csr_matrix) -> np.ndarray:
 
 
 def build_cn_system(mesh: OverlapMesh1D, tau: float) -> CNSystem:
-    """The CN system for one mesh and step size.
+    """The CN system for one mesh and step size, kept in the mesh's store.
 
-    B, B_boundary and B's diagonal mask are cut once per mesh object
-    (_interior_cut) and shared by the systems of every step size; a system
-    forms only its own A. Raises ValueError unless tau is positive and
-    finite.
+    It is formed on the first call for the mesh object and tau, from the
+    cut (_interior_cut) shared by every step size; later calls return it,
+    with the LU factor its first solve built. Raises ValueError unless tau
+    is positive and finite.
     """
     if not 0 < tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
     B, B_boundary, diagonal = mesh.shared("cn_cut", _interior_cut)
-    return CNSystem(B=B, B_boundary=B_boundary, tau=tau, diagonal=diagonal)
+    return mesh.shared(("cn", tau),
+                       lambda _: CNSystem(B, B_boundary, tau, diagonal))
 
 
 def _interior_cut(mesh: OverlapMesh1D) -> tuple:

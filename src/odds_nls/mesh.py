@@ -5,10 +5,9 @@ Lobatto grids overlap: the last two nodes of element m are the first two
 nodes of element m+1. Each global node is computed exactly once, so shared
 nodes are bitwise identical between neighbouring elements.
 
-Operators that depend on the mesh alone, such as the assembled
-differentiation matrices, are built once per mesh object by
-OverlapMesh1D.shared and then shared by every caller, with read-only
-arrays.
+What depends on the mesh alone, such as the assembled differentiation
+matrices, or on the mesh and a step size, the CN system, is built once per
+mesh object by OverlapMesh1D.shared and then shared by every caller.
 """
 
 from dataclasses import dataclass, field
@@ -60,9 +59,10 @@ class OverlapMesh1D:
         """build(self), built on the first call with key and kept.
 
         Every later call with key returns the same object, so it must not
-        be written: the arrays of a sparse matrix, or of a tuple of arrays
-        and sparse matrices, are made read-only. The store lives and dies
-        with this mesh object; a copy (dataclasses.replace) starts empty.
+        be written: an array, a sparse matrix or a tuple of them has its
+        arrays made read-only, and any other value (a CNSystem) is kept as
+        built. The store lives and dies with this mesh object; a copy
+        (dataclasses.replace) starts empty.
         """
         if key not in self._shared:
             value = build(self)
@@ -70,7 +70,8 @@ class OverlapMesh1D:
                 arrays = ((item.data, item.indices, item.indptr)
                           if sp.issparse(item) else (item,))
                 for array in arrays:
-                    array.setflags(write=False)
+                    if isinstance(array, np.ndarray):
+                        array.setflags(write=False)
             self._shared[key] = value
         return self._shared[key]
 

@@ -164,7 +164,8 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
             an (n, P) block steps P trajectories as the columns of one
             state, with (n, P) noise increments and no invariants.
         mesh: OverlapMesh1D, or a tuple of one per axis: (mesh,) or
-            (mesh_x, mesh_y).
+            (mesh_x, mesh_y). Each axis solves with build_cn_system(axis,
+            tau), the system kept in that mesh object's store.
         problem: equation parameters and Dirichlet data.
         tau: time step, positive and finite.
         n_steps: number of steps, >= 0.
@@ -207,10 +208,7 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
         if not 0 <= s <= n_steps:
             raise ValueError(f"snapshot step {s} outside [0, {n_steps}]")
 
-    # a mesh object repeated across axes has one system and one LU factor
-    unique = {id(axis): axis for axis in axes}
-    built = {key: build_cn_system(axis, tau) for key, axis in unique.items()}
-    systems = [built[id(axis)] for axis in axes]
+    systems = [build_cn_system(axis, tau) for axis in axes]
     step = odds_step_1d if len(axes) == 1 else odds_step_2d
     nodes = [axis.nodes for axis in axes]
     wanted = set(options.snapshot_steps)

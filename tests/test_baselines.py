@@ -42,6 +42,13 @@ def test_grid_construction_and_validation():
         uniform_grid_1d(1.0, 0.0, 5)
 
 
+@pytest.mark.parametrize("n_points", [3, 4])
+def test_grid_needs_five_points(n_points):
+    # fewer than 3 interior unknowns, which LAPACK's zgttrf rejects
+    with pytest.raises(ValueError, match="at least five points"):
+        uniform_grid_1d(0.0, 1.0, n_points)
+
+
 class TestSMM1D:
     def test_conserves_averaged_charge_to_solver_tolerance(self):
         # the box scheme's discrete invariant is <S u, u> on the interior,

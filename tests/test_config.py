@@ -81,6 +81,21 @@ class TestValidation:
             cfg.validate()
 
     @pytest.mark.parametrize("kind", ["soliton1d", "collision1d",
+                                      "gaussian2d", "convergence",
+                                      "efficiency"])
+    def test_rejects_a_horizon_shorter_than_one_step(self, kind):
+        # zero whole steps of the first tau the run takes, to within 1e-9
+        base = builtin_configs()[kind]
+        tau = base.tau_ref if kind == "convergence" else base.tau
+        cfg = dataclasses.replace(base, t_final=1e-10 * tau,
+                                  snapshot_times=(0.0,))
+        assert whole_steps(cfg.t_final, tau) == 0
+        with pytest.raises(ConfigError, match=re.escape(
+                f"t_final {cfg.t_final:g} is shorter than one step of tau "
+                f"{tau:g}")):
+            cfg.validate()
+
+    @pytest.mark.parametrize("kind", ["soliton1d", "collision1d",
                                       "gaussian2d", "efficiency"])
     def test_rejects_a_snapshot_time_off_the_step_grid(self, kind):
         base = builtin_configs()[kind]
@@ -125,8 +140,17 @@ class TestValidation:
          "eps_values must not repeat"),
         (["run", "gaussian2d", "--set", "trajectories=4"],
          "gaussian2d runs trajectory 0 for each noise size of its sweep"),
+        (["run", "efficiency", "--set", "t_final=1e-12",
+          "--set", "snapshot_times=[0]"],
+         "t_final 1e-12 is shorter than one step of tau 0.015"),
+        (["run", "soliton1d", "--set", "t_final=1e-12",
+          "--set", "snapshot_times=[0]"],
+         "t_final 1e-12 is shorter than one step of tau 0.015"),
+        (["run", "efficiency", "--set", "uniform_points=3",
+          "--set", "t_final=0.03"], "efficiency requires uniform_points >= 5"),
     ], ids=["one_level_ladder", "repeated_ladder_tau", "repeated_eps",
-            "gaussian2d_trajectories"])
+            "gaussian2d_trajectories", "zero_step_efficiency",
+            "zero_step_soliton1d", "three_uniform_points"])
     def test_cli_exits_2_before_any_run(self, argv, message, tmp_path,
                                         capsys):
         code = cli.main(argv + ["--output-dir", str(tmp_path)])
@@ -155,6 +179,18 @@ class TestValidation:
             dataclasses.replace(base, dimension=3).validate()
         with pytest.raises(ConfigError):
             dataclasses.replace(base, repeats=1).validate()
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_efficiency_needs_five_uniform_points(self, dimension):
+        # the reference schemes solve on the grid's interior, and LAPACK's
+        # tridiagonal LU takes no fewer than 3 unknowns
+        base = dataclasses.replace(builtin_configs()["efficiency"],
+                                   dimension=dimension)
+        for points in (3, 4):
+            with pytest.raises(ConfigError, match="^efficiency requires "
+                                                  "uniform_points >= 5$"):
+                dataclasses.replace(base, uniform_points=points).validate()
+        dataclasses.replace(base, uniform_points=5).validate()
 
     def test_rejects_empty_y_interval_in_2d_runs(self):
         for cfg in (builtin_configs()["gaussian2d"], builtin_efficiency_2d()):

@@ -15,6 +15,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import odds_nls.cli as cli
 import odds_nls.experiments as experiments
@@ -64,6 +65,16 @@ TINY = {
         "tau": 0.02, "t_final": 0.04, "repeats": 3,
         "output_dir": str(tmp_path)}),
 }
+
+
+@pytest.fixture
+def splu_sizes(monkeypatch):
+    """The order of each SuperLU factor made while the test runs."""
+    sizes = []
+    real_splu = scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda A: (
+        sizes.append(A.shape[0]) or real_splu(A)))
+    return sizes
 
 
 def sha_of(path):
@@ -773,10 +784,10 @@ class TestOtherRunners:
 
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_every_efficiency_repeat_assembles_its_own_operators(
-            self, tmp_path, monkeypatch, dimension):
+            self, tmp_path, monkeypatch, splu_sizes, dimension):
         # odds repeats step fresh copies of the mesh, so none reuses the
-        # operators of the one before, as SMM and FDSCN build theirs in
-        # every repeat; the equal 2D axes are one mesh
+        # operators and factor of the one before, as SMM and FDSCN build
+        # theirs in every repeat; the equal 2D axes are one mesh
         import odds_nls.mesh
         orders = []
         real_assemble = odds_nls.mesh.assemble_global
@@ -795,6 +806,22 @@ class TestOtherRunners:
                             "output_dir": str(tmp_path)})
         run_experiment(cfg, workers=1)
         assert orders == [2] * 3
+        # odds solves on the mesh's 10 interior nodes; the 2D reference
+        # schemes factor the grid's 9 x 9 by SuperLU too
+        assert splu_sizes.count(10) == 3
+
+    @pytest.mark.parametrize("kind, changes, factors", [
+        ("convergence", {"trajectories": 20}, 3),
+        ("gaussian2d", {"eps_values": (0.0, 0.5, 1.0)}, 1),
+        ("soliton1d", {"trajectories": 4}, 1),
+    ], ids=["two_blocks_three_taus", "three_eps", "four_trajectories"])
+    def test_a_run_factors_each_step_size_once(self, tmp_path, splu_sizes,
+                                               kind, changes, factors):
+        # every run on the run's mesh object and tau finds its system and
+        # factor in the mesh's store
+        run_experiment(dataclasses.replace(TINY[kind](tmp_path), **changes),
+                       workers=1)
+        assert len(splu_sizes) == factors
 
     def test_equal_2d_axes_are_one_mesh_object(self):
         base = {"kind": "gaussian2d", "x_left": 0.0, "x_right": 1.0,

@@ -475,6 +475,47 @@ class TestSharedCut:
             systems[1].B.data *= 2.0
 
 
+class TestStoredSystems:
+    """Each mesh object keeps one CN system per step size in its store, so
+    every run on that object and tau solves with one factor."""
+
+    def test_one_system_per_mesh_object_and_tau(self):
+        mesh = build_mesh(-1.0, 1.0, 3, 8)
+        system = build_cn_system(mesh, 0.01)
+        assert build_cn_system(mesh, 0.01) is system
+        assert build_cn_system(mesh, 0.02) is not system
+        assert build_cn_system(dataclasses.replace(mesh), 0.01) is not system
+
+    def test_runs_on_one_mesh_factor_once_and_match_a_fresh_mesh(
+            self, factor_calls):
+        mesh = build_mesh(-1.0, 1.0, 3, 8)
+        u0 = np.cos(0.5 * np.pi * mesh.nodes) + 0j
+
+        def boundary(t, x):
+            return np.exp(1j * t) * x
+
+        def run(on):
+            return run_trajectory(u0, on, ProblemSpec(1.0, 0.0, boundary),
+                                  0.01, 3, options=RunOptions(
+                                      snapshot_steps=(1,)))
+
+        runs = [run(mesh), run(mesh)]
+        assert factor_calls == [("splu", mesh.n_interior)]
+        fresh = run(build_mesh(-1.0, 1.0, 3, 8))
+        for res in runs:
+            for name in ("values", "times", "charge", "energy"):
+                assert (getattr(res, name).tobytes()
+                        == getattr(fresh, name).tobytes()), name
+            assert res.snapshots[1].tobytes() == fresh.snapshots[1].tobytes()
+
+    def test_2d_runs_on_equal_axes_factor_once(self, factor_calls):
+        mesh = build_mesh(-1.0, 1.0, 3, 8)
+        u0 = np.outer(*(2 * [np.cos(0.5 * np.pi * mesh.nodes)])) + 0j
+        for _ in range(2):
+            run_trajectory(u0, (mesh, mesh), ProblemSpec(), 0.01, 2)
+        assert factor_calls == [("splu", mesh.n_interior)]
+
+
 @pytest.mark.parametrize("tau", [0.0, -0.01, np.nan, np.inf, -np.inf])
 def test_build_and_run_reject_a_tau_not_positive_and_finite(tau):
     mesh = build_mesh(-1.0, 1.0, 2, 6)
@@ -634,8 +675,9 @@ class TestOneSolvePerStep:
             return np.exp(1j * t) * x
 
         run_trajectory(u0, mesh, ProblemSpec(1.0, 0.0, boundary), 0.01, 3)
-        run_trajectory(np.outer(u0, u0), (mesh, mesh), ProblemSpec(), 0.01, 2,
+        run_trajectory(np.outer(u0, u0), (mesh, mesh), ProblemSpec(), 0.02, 2,
                        options=RunOptions(record_invariants=False))
-        # the 2D run's two axes are one mesh object, with one system
-        assert len(built) == 2
+        # the 2D run's two axes are one mesh object, with one system; its
+        # own tau keeps it apart from the 1D run's system in the store
+        assert len(built) == 3 and len({id(s) for s in built}) == 2
         assert not any("E" in vars(system) for system in built)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -157,3 +158,11 @@ class TestSharedOperators:
         pair = mesh.shared("pair", lambda m: (np.ones(3, bool), D))
         assert mesh.shared("pair", None) is pair
         assert not pair[0].flags.writeable
+
+    def test_other_values_are_kept_as_built(self):
+        # such as a CN system, whose factor is built on its first solve
+        mesh = build_mesh(0.0, 1.0, 2, 5)
+        value = types.SimpleNamespace(data=np.ones(3))
+        assert mesh.shared("system", lambda m: value) is value
+        assert mesh.shared("system", None) is value
+        assert value.data.flags.writeable
