@@ -9,6 +9,9 @@ byte-identical.
     PYTHONPATH=src python scripts/artifact_hashes.py             # every builtin
     PYTHONPATH=src python scripts/artifact_hashes.py gaussian2d --set seed=1
 
+Every builtin includes efficiency2d, the 2D timing setup, which alone
+takes about 14 s at one BLAS thread on a 2-vCPU x86 box.
+
 ``timings.csv`` (efficiency) holds measured times in its last three
 columns, so its hash differs from run to run. A second line,
 ``name timings.csv[:5] sha256 bytes``, hashes its first five columns

@@ -11,20 +11,9 @@ import sys
 from dataclasses import replace
 
 from .config import (ConfigError, ExperimentConfig, apply_overrides,
-                     builtin_configs, builtin_efficiency_2d, config_schema,
-                     load_config)
+                     builtin_configs, config_schema, load_config)
 from .experiments import run_experiment
 from .stepper import StepFailure
-
-
-def _add_run_flags(parser):
-    parser.add_argument("--workers", type=int, default=1,
-                        help="processes that farm the runs (default 1)")
-    parser.add_argument("--output-dir", default=None,
-                        help="artifact root directory")
-    parser.add_argument("--set", dest="overrides", action="append",
-                        default=[], metavar="KEY=VALUE",
-                        help="override a config key (repeatable)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,17 +27,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      "or a builtin name")
     run.add_argument("config", help="config file path or builtin experiment "
                                     "name (see list-experiments)")
-    _add_run_flags(run)
-
-    conv = sub.add_parser("convergence",
-                          help="run the builtin temporal convergence study")
-    _add_run_flags(conv)
-
-    eff = sub.add_parser("efficiency",
-                         help="time the collocation stepper against the "
-                              "uniform-grid reference schemes")
-    eff.add_argument("--dimension", type=int, choices=(1, 2), default=1)
-    _add_run_flags(eff)
+    run.add_argument("--workers", type=int, default=1,
+                     help="processes that farm the runs (default 1)")
+    run.add_argument("--output-dir", default=None,
+                     help="artifact root directory")
+    run.add_argument("--set", dest="overrides", action="append", default=[],
+                     metavar="KEY=VALUE",
+                     help="override a config key (repeatable)")
 
     sub.add_parser("list-experiments", help="list builtin experiment names")
     sub.add_parser("print-config-schema", help="describe config keys")
@@ -56,12 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    if args.command == "convergence":
-        config = builtin_configs()["convergence"]
-    elif args.command == "efficiency":
-        config = (builtin_configs()["efficiency"] if args.dimension == 1
-                  else builtin_efficiency_2d())
-    elif os.path.isfile(args.config):
+    if os.path.isfile(args.config):
         config = load_config(args.config)
     elif args.config in builtin_configs():
         config = builtin_configs()[args.config]
@@ -79,7 +59,6 @@ def main(argv=None) -> int:
     if args.command == "list-experiments":
         for name in builtin_configs():
             print(name)
-        print("efficiency (2d): odds-nls efficiency --dimension 2")
         return 0
     if args.command == "print-config-schema":
         print(config_schema())

@@ -151,8 +151,9 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def builtin_configs() -> dict:
-    """Desk-scale defaults for the five experiments.
+    """Desk-scale defaults for the six builtin experiments, by name.
 
+    A name is its config's kind, but efficiency2d is efficiency in 2D.
     Scheme parameters (mesh, tau, eps) follow the published setups; horizons
     and trajectory counts are shrunk so each run finishes on a laptop. Restore
     the long horizons with e.g. ``--set t_final=150``.
@@ -184,16 +185,19 @@ def builtin_configs() -> dict:
             kind="efficiency", x_left=-20.0, x_right=100.0, lam=1.0, eps=0.01,
             elements=20, degree=30, modes=500, uniform_points=601,
             tau=0.015, t_final=10.005, dimension=1, repeats=3),
+        # matched-resolution 2D timing setup (Gaussian datum, eps=1)
+        "efficiency2d": ExperimentConfig(
+            kind="efficiency", x_left=-10.0, x_right=10.0, y_left=-10.0,
+            y_right=10.0, lam=1.0, eps=1.0, elements=4, degree=32,
+            elements_y=4, degree_y=32, modes=64, modes_y=64,
+            uniform_points=129, tau=0.025, t_final=1.0, dimension=2,
+            repeats=3),
     }
 
 
 def builtin_efficiency_2d() -> ExperimentConfig:
-    """Matched-resolution 2D timing setup (Gaussian datum, eps=1)."""
-    return ExperimentConfig(
-        kind="efficiency", x_left=-10.0, x_right=10.0, y_left=-10.0,
-        y_right=10.0, lam=1.0, eps=1.0, elements=4, degree=32, elements_y=4,
-        degree_y=32, modes=64, modes_y=64, uniform_points=129,
-        tau=0.025, t_final=1.0, dimension=2, repeats=3)
+    """The efficiency2d builtin."""
+    return builtin_configs()["efficiency2d"]
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -236,10 +240,10 @@ def from_mapping(data: dict) -> ExperimentConfig:
     if "kind" not in data:
         raise ConfigError("config requires a 'kind' key")
     kind = str(data["kind"])
-    base = builtin_configs().get(kind)
-    if base is None:
+    if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}; "
                           f"expected one of {', '.join(KINDS)}")
+    base = builtin_configs()[kind]
     updates = {}
     for key, value in data.items():
         if key == "kind":

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .baselines import (FDSCN1D, FDSCN2D, SMM1D, SMM2D, run_uniform_trajectory,
                         uniform_grid_1d)
-from .config import ExperimentConfig, config_hash, whole_steps
+from .config import ConfigError, ExperimentConfig, config_hash, whole_steps
 from .mesh import build_mesh
 from .noise import (NoiseModel1D, NoiseModel2D, ReplayNoise, coarsen,
                     draw_path)
@@ -47,7 +47,6 @@ class Outputs:
     records of failed runs, extra the kind's own manifest fields, and data
     becomes RunResult.data.
     """
-    subdir: str
     tables: list
     trajectories: object
     failures: list
@@ -257,10 +256,12 @@ def _series(runs, name: str):
 def _charge_drift(series) -> float | None:
     """Worst |q - q0| / |q0| over charge series, each against its first.
 
-    None when no series has a sample (no run succeeded).
+    A series whose first charge is 0 has no relative drift and is skipped.
+    None when no series is left (no run succeeded, or every datum is 0).
     """
     return max((float(np.max(np.abs(q - q[0])) / abs(q[0]))
-                for q in map(np.asarray, series) if q.size), default=None)
+                for q in map(np.asarray, series) if q.size and q[0]),
+               default=None)
 
 
 def _n_steps(config: ExperimentConfig) -> int:
@@ -401,8 +402,7 @@ def run_trajectories(config: ExperimentConfig, workers: int = 1) -> Outputs:
                          cells(energies.mean(axis=0))]]))
     extra.update(charge_drift=_charge_drift(res.charge for _, res in done),
                  n_steps=_n_steps(config))
-    return Outputs(config.kind, tables, sorted({p for _, _, p in runs}),
-                   failures, extra)
+    return Outputs(tables, sorted({p for _, _, p in runs}), failures, extra)
 
 
 # ---------------------------------------------------------------- convergence
@@ -461,7 +461,7 @@ def run_convergence(config: ExperimentConfig, workers: int = 1) -> Outputs:
     table = ("table.csv", ["tau (time units)", "err (weighted l2 amplitude)",
                            "order (dimensionless)"],
              [[cells(fit.taus), cells(fit.errors), [""] + cells(fit.orders)]])
-    return Outputs("convergence", [table], trajectories, [],
+    return Outputs([table], trajectories, [],
                    {"global_order": fit.global_order,
                     "tau_ref": config.tau_ref}, data=fit)
 
@@ -530,7 +530,7 @@ def run_efficiency(config: ExperimentConfig, workers: int = 1) -> Outputs:
               "steps (count)", "repeats (count)", "median_seconds (s)",
               "min_seconds (s)", "max_seconds (s)"],
              [[cells(column) for column in zip(*rows)]])
-    return Outputs(f"efficiency{config.dimension}d", [table], reps, [],
+    return Outputs([table], reps, [],
                    {"medians": medians, "fixed_point_iterations": iterations,
                     "n_steps": n_steps}, data=medians)
 
@@ -545,20 +545,29 @@ RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
-    """Validate config, run it, then write its CSVs and manifest.
+    """Validate config, make its directory, run it, then write its CSVs and
+    manifest into <output_dir>/<kind> (efficiency: efficiency1d or 2d).
 
-    ConfigError comes before any output. The manifest's stage_seconds times
-    the runner as run, and the CSVs' formatting and writing as write.
+    An invalid config, or a directory that cannot be made, raises
+    ConfigError before the run; an invalid config writes nothing. The
+    manifest's stage_seconds times the runner as run, and the CSVs'
+    formatting and writing as write.
     """
     config = config.validate()
+    subdir = (f"efficiency{config.dimension}d" if config.kind == "efficiency"
+              else config.kind)
+    # root resolution (CLI flag > ODDS_NLS_OUTPUT env > config) happens in the
+    # CLI; library callers get config.output_dir as-is
+    dirpath = os.path.join(config.output_dir, subdir)
+    try:
+        os.makedirs(dirpath, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {dirpath}: "
+                          f"{exc.strerror}") from exc
     t0 = time.perf_counter()
     out = RUNNERS[config.kind](config, workers=workers)
     t_run = time.perf_counter() - t0
     t0 = time.perf_counter()
-    # root resolution (CLI flag > ODDS_NLS_OUTPUT env > config) happens in the
-    # CLI; library callers get config.output_dir as-is
-    dirpath = os.path.join(config.output_dir, out.subdir)
-    os.makedirs(dirpath, exist_ok=True)
     paths = [write_csv(os.path.join(dirpath, name), header, blocks)
              for name, header, blocks in out.tables]
     stages = {"run": t_run, "write": time.perf_counter() - t0}

@@ -6,28 +6,28 @@ import typing
 import pytest
 
 from odds_nls import cli
-from odds_nls.config import (ConfigError, ExperimentConfig, apply_overrides,
-                             builtin_configs, builtin_efficiency_2d,
-                             config_hash, config_schema, from_mapping,
-                             load_config, whole_steps)
+from odds_nls.config import (KINDS, ConfigError, ExperimentConfig,
+                             apply_overrides, builtin_configs,
+                             builtin_efficiency_2d, config_hash,
+                             config_schema, from_mapping, load_config,
+                             whole_steps)
 
 
 def test_builtins_all_validate():
     # and each is the whole number of steps it always took: soliton1d and
     # efficiency take 667 steps of 0.015, which end at 10.005
     steps = {"soliton1d": 667, "collision1d": 10000, "gaussian2d": 100,
-             "convergence": 256, "efficiency": 667}
+             "convergence": 256, "efficiency": 667, "efficiency2d": 40}
     for name, cfg in builtin_configs().items():
-        assert cfg.kind == name
+        assert cfg.kind in KINDS
         cfg.validate()
         assert whole_steps(cfg.t_final, cfg.tau) == steps[name]
-    cfg = builtin_efficiency_2d().validate()
-    assert whole_steps(cfg.t_final, cfg.tau) == 40
 
 
 def test_builtin_names():
     assert set(builtin_configs()) == {"soliton1d", "collision1d", "gaussian2d",
-                                      "convergence", "efficiency"}
+                                      "convergence", "efficiency",
+                                      "efficiency2d"}
 
 
 class TestValidation:
@@ -131,9 +131,9 @@ class TestValidation:
             cfg.validate()
 
     @pytest.mark.parametrize("argv, message", [
-        (["convergence", "--set", "trajectories=2",
+        (["run", "convergence", "--set", "trajectories=2",
           "--set", "tau_ladder=[0.0625]"], "tau_ladder must hold"),
-        (["convergence", "--set", "trajectories=2",
+        (["run", "convergence", "--set", "trajectories=2",
           "--set", "tau_ladder=[0.0625, 0.0625, 0.03125]"],
          "tau_ladder must hold"),
         (["run", "gaussian2d", "--set", "eps_values=[0.5, 0.5]"],
@@ -202,9 +202,8 @@ class TestValidation:
 
     def test_cli_exits_2_on_empty_y_interval_in_2d_efficiency(self, tmp_path,
                                                                capsys):
-        code = cli.main(["efficiency", "--dimension", "2",
-                         "--set", "y_right=-20", "--output-dir",
-                         str(tmp_path)])
+        code = cli.main(["run", "efficiency2d", "--set", "y_right=-20",
+                         "--output-dir", str(tmp_path)])
         assert code == 2
         assert "y_right must exceed y_left" in capsys.readouterr().err
 
@@ -220,6 +219,13 @@ class TestMappingAndFiles:
     def test_from_mapping_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             from_mapping({"kind": "soliton1d", "taus": 0.02})
+
+    def test_from_mapping_takes_a_kind_not_a_builtin_name(self):
+        # efficiency2d names a builtin, not a kind: a YAML file must say
+        # kind: efficiency and dimension: 2, not start from that builtin
+        with pytest.raises(ConfigError,
+                           match="^unknown experiment kind 'efficiency2d'"):
+            from_mapping({"kind": "efficiency2d"})
 
     def test_from_mapping_requires_kind(self):
         with pytest.raises(ConfigError):

@@ -19,7 +19,8 @@ import scipy.sparse.linalg
 
 import odds_nls.cli as cli
 import odds_nls.experiments as experiments
-from odds_nls.config import ConfigError, builtin_configs, from_mapping
+from odds_nls.config import (ConfigError, apply_overrides, builtin_configs,
+                             builtin_efficiency_2d, config_hash, from_mapping)
 from odds_nls.experiments import (RunResult, cells, collision_datum,
                                   gaussian_datum, run_experiment,
                                   soliton_datum, write_csv)
@@ -412,6 +413,31 @@ class TestSolitonRunner:
         result = run_experiment(tiny_soliton(tmp_path), workers=1)
         assert len(result.manifest["failures"]) == 2
         assert result.manifest["charge_drift"] is None
+
+    @pytest.mark.parametrize("argv", [
+        ["soliton1d", "--set", "x_left=1000", "--set", "x_right=1100",
+         "--set", "t_final=0.015"],
+        ["gaussian2d", "--set", "x_left=100", "--set", "x_right=120",
+         "--set", "t_final=0.01"],
+    ], ids=["soliton1d", "gaussian2d"])
+    def test_manifest_is_strict_json_when_the_datum_underflows(
+            self, tmp_path, capsys, argv):
+        # the datum is 0 on this interval, so every first charge is 0 and
+        # its relative drift 0/0 was written as the non-JSON token NaN
+        def reject(token):
+            raise ValueError(f"manifest holds {token}")
+
+        assert cli.main(["run", *argv, "--set", "snapshot_times=[0]",
+                         "--output-dir", str(tmp_path)]) == 0
+        text = (tmp_path / argv[0] / "manifest.json").read_text()
+        manifest = json.loads(text, parse_constant=reject)
+        assert manifest["failures"] == []
+        assert manifest["charge_drift"] is None
+
+    def test_charge_drift_skips_series_that_start_at_zero(self):
+        drift = experiments._charge_drift([[0.0, 0.0], [2.0, 2.5], []])
+        assert drift == 0.25
+        assert experiments._charge_drift([[0.0, 1e-300]]) is None
 
     def test_csv_headers_carry_units(self, tmp_path):
         cfg = tiny_soliton(tmp_path)
@@ -960,7 +986,7 @@ class TestCLI:
     def test_reference_scheme_failure_exits_3_with_one_line(self, tmp_path,
                                                            capsys):
         # SMM's fixed point stalls at this step size and cubic strength
-        code = cli.main(["efficiency", "--output-dir", str(tmp_path),
+        code = cli.main(["run", "efficiency", "--output-dir", str(tmp_path),
                          "--set", "uniform_points=121", "--set", "tau=0.1",
                          "--set", "lam=16", "--set", "t_final=0.1"])
         err = capsys.readouterr().err
@@ -981,11 +1007,58 @@ class TestCLI:
         # artifact paths are still reported so the partial output is findable
         assert "x/manifest.json" in captured.out
 
+    def test_uncreatable_output_root_exits_2_before_the_run(
+            self, tmp_path, monkeypatch, capsys):
+        # a regular file as the parent: makedirs raised NotADirectoryError
+        # only after the whole run, and the CLI died with a traceback
+        def never(config, workers):
+            raise AssertionError("the runner ran")
+
+        monkeypatch.setitem(experiments.RUNNERS, "soliton1d", never)
+        (tmp_path / "file").write_text("")
+        root = tmp_path / "file" / "x"
+        code = cli.main(["run", "soliton1d", "--set", "t_final=0.015",
+                         "--set", "snapshot_times=[0]",
+                         "--output-dir", str(root)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: cannot create output directory "
+                              f"{root / 'soliton1d'}: ")
+        assert err.count("\n") == 1
+
+    def test_run_efficiency2d_builtin(self, tmp_path, capsys):
+        code = cli.main(["run", "efficiency2d", "--set", "t_final=0.05",
+                         "--output-dir", str(tmp_path)])
+        assert code == 0
+        with open(tmp_path / "efficiency2d" / "timings.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[:5] for row in rows] == [
+            [name, "2", points, "2", "3"]
+            for name, points in (("odds", "126"), ("smm", "129"),
+                                 ("fdscn", "129"))]
+        manifest = json.loads(
+            (tmp_path / "efficiency2d" / "manifest.json").read_text())
+        expected = dataclasses.replace(
+            apply_overrides(builtin_efficiency_2d(), ["t_final=0.05"]),
+            output_dir=str(tmp_path))
+        assert manifest["config_sha256"] == config_hash(expected)
+
+    def test_only_run_runs_an_experiment(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert ("{run,list-experiments,print-config-schema}"
+                in capsys.readouterr().out)
+        for argv in (["convergence"], ["efficiency", "--dimension", "2"],
+                     ["run", "efficiency", "--dimension", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+
     def test_list_experiments(self, capsys):
         assert cli.main(["list-experiments"]) == 0
         out = capsys.readouterr().out
-        for name in builtin_configs():
-            assert name in out
+        assert out.split() == list(builtin_configs())
 
     def test_print_config_schema(self, capsys):
         assert cli.main(["print-config-schema"]) == 0
