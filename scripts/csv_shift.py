@@ -12,8 +12,9 @@ themselves while the surface moves at rounding level.
     python scripts/csv_shift.py old new
 
 Columns that hold text, and cells left empty in both trees, are skipped.
+A CSV found only under NEW_DIR gets one line, ``file new in NEW_DIR``.
 Exits 1 when a CSV is missing from NEW_DIR or changed its header or row
-count, 0 otherwise.
+count, 0 otherwise; a new CSV does not change the status.
 """
 
 import argparse
@@ -68,27 +69,35 @@ def column_shifts(old_path: str, new_path: str):
                             (0.0 if shift == 0 else math.inf))
 
 
+def csv_paths(top: str) -> list:
+    """Relative paths of the CSVs under top, in walk order."""
+    return [os.path.relpath(os.path.join(root, name), top)
+            for root, _, files in sorted(os.walk(top))
+            for name in sorted(f for f in files if f.endswith(".csv"))]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_dir")
     parser.add_argument("new_dir")
     args = parser.parse_args()
     status = 0
-    for root, _, files in sorted(os.walk(args.old_dir)):
-        for name in sorted(f for f in files if f.endswith(".csv")):
-            rel = os.path.relpath(os.path.join(root, name), args.old_dir)
-            new_path = os.path.join(args.new_dir, rel)
-            if not os.path.exists(new_path):
-                print(f"{rel} missing from {args.new_dir}")
-                status = 1
-                continue
-            try:
-                for column, shift, relative in column_shifts(
-                        os.path.join(args.old_dir, rel), new_path):
-                    print(f"{rel} {column!r} {shift:.3g} {relative:.3g}")
-            except ValueError as err:
-                print(f"{rel} {err}")
-                status = 1
+    old_paths = csv_paths(args.old_dir)
+    for rel in old_paths:
+        new_path = os.path.join(args.new_dir, rel)
+        if not os.path.exists(new_path):
+            print(f"{rel} missing from {args.new_dir}")
+            status = 1
+            continue
+        try:
+            for column, shift, relative in column_shifts(
+                    os.path.join(args.old_dir, rel), new_path):
+                print(f"{rel} {column!r} {shift:.3g} {relative:.3g}")
+        except ValueError as err:
+            print(f"{rel} {err}")
+            status = 1
+    for rel in sorted(set(csv_paths(args.new_dir)) - set(old_paths)):
+        print(f"{rel} new in {args.new_dir}")
     return status
 
 

@@ -58,16 +58,19 @@ class Outputs:
 
 def soliton_datum(x: np.ndarray) -> np.ndarray:
     # carrier e^{-ix} travels right (+2) under the i du = [u_xx + ...]dt sign
-    # convention; amplitude sqrt(6/5), width sqrt(2)
-    return (np.sqrt(6.0 / 5.0) / np.cosh(np.sqrt(2.0) * x)
-            * np.exp(-1j * x))
+    # convention; amplitude sqrt(6/5), width sqrt(2). Far from the pulse cosh
+    # overflows to inf, and 1/inf = 0 is the datum's limit there.
+    with np.errstate(over="ignore"):
+        return (np.sqrt(6.0 / 5.0) / np.cosh(np.sqrt(2.0) * x)
+                * np.exp(-1j * x))
 
 
 def collision_datum(x: np.ndarray) -> np.ndarray:
-    fast = (np.sqrt(6.0 / 5.0) / np.cosh(np.sqrt(2.0) * x)
-            * np.exp(-2j * x))
-    slow = (np.sqrt(3.0 / 5.0) / np.cosh(np.sqrt(2.0) * (x - 30.0))
-            * np.exp(-0.5j * (x - 30.0)))
+    with np.errstate(over="ignore"):  # as in soliton_datum
+        fast = (np.sqrt(6.0 / 5.0) / np.cosh(np.sqrt(2.0) * x)
+                * np.exp(-2j * x))
+        slow = (np.sqrt(3.0 / 5.0) / np.cosh(np.sqrt(2.0) * (x - 30.0))
+                * np.exp(-0.5j * (x - 30.0)))
     return fast + slow
 
 
@@ -311,33 +314,30 @@ def _start(config: ExperimentConfig, datum, axes):
 
 # ------------------------------------------- soliton1d, collision1d, gaussian2d
 
-# kind -> (datum, dimension, snapshot file, run key header, charge unit,
-# snapshot value columns, writes energy.csv and energy_mean.csv)
+# kind -> (datum, dimension, snapshot file, snapshot value columns)
 _ABS_U = ("abs_u (amplitude)", _modulus_cells)
 _LAYOUT = {
-    "soliton1d": (soliton_datum, 1, "profiles.csv", "trajectory (index)",
-                  "amplitude^2 x space", (_ABS_U,), True),
-    "collision1d": (collision_datum, 1, "snapshots.csv", "trajectory (index)",
-                    "amplitude^2 x space",
+    "soliton1d": (soliton_datum, 1, "profiles.csv", (_ABS_U,)),
+    "collision1d": (collision_datum, 1, "snapshots.csv",
                     (("re_u (amplitude)", lambda u: cells(u.real)),
-                     ("im_u (amplitude)", lambda u: cells(u.imag)), _ABS_U),
-                    False),
-    "gaussian2d": (gaussian_datum, 2, "surfaces.csv", "eps (dimensionless)",
-                   "amplitude^2 x area", (_ABS_U,), False),
+                     ("im_u (amplitude)", lambda u: cells(u.imag)), _ABS_U)),
+    "gaussian2d": (gaussian_datum, 2, "surfaces.csv", (_ABS_U,)),
 }
 
 
 def _runs(config: ExperimentConfig):
-    """The runs as (key, eps, noise trajectory), and the manifest fields
-    that name them.
+    """The runs as (key, eps, noise trajectory), the header of their key
+    column, and the manifest fields that name them.
 
     A 1D run is one trajectory, keyed by its index. gaussian2d runs each
     noise size of its sweep on trajectory 0, keyed by the noise size.
     """
     if config.kind == "gaussian2d":
         eps_values = list(config.eps_values or (config.eps,))
-        return [(eps, eps, 0) for eps in eps_values], {"eps_sweep": eps_values}
-    return [(p, config.eps, p) for p in range(config.trajectories)], {}
+        return ([(eps, eps, 0) for eps in eps_values], "eps (dimensionless)",
+                {"eps_sweep": eps_values})
+    return ([(p, config.eps, p) for p in range(config.trajectories)],
+            "trajectory (index)", {})
 
 
 def _trajectory_ctx(config, axes):
@@ -361,10 +361,9 @@ def _trajectory_job(ctx, run):
 
 def run_trajectories(config: ExperimentConfig, workers: int = 1) -> Outputs:
     """Snapshots and invariant series of each run of a pulse datum."""
-    (_, dimension, snapshot_file, key_header, charge_unit, columns,
-     energy) = _LAYOUT[config.kind]
+    _, dimension, snapshot_file, columns = _LAYOUT[config.kind]
     axes = tuple(_mesh_axes(config, dimension))
-    runs, extra = _runs(config)
+    runs, key_header, extra = _runs(config)
     results = _farm(partial(_trajectory_ctx, config, axes), _trajectory_job,
                     runs, workers)
     failures = [r for r in results if isinstance(r, dict)]
@@ -387,14 +386,15 @@ def run_trajectories(config: ExperimentConfig, workers: int = 1) -> Outputs:
           *("x (space units)", "y (space units)")[:dimension],
           *(name for name, _ in columns)], snapshots),
         ("charge.csv",
-         [key_header, "time (time units)", f"charge ({charge_unit})"],
+         [key_header, "time (time units)",
+          f"charge (amplitude^2 x {('space', 'area')[dimension - 1]})"],
          _series(done, "charge")),
+        ("energy.csv",
+         [key_header, "time (time units)", "energy (energy units)"],
+         _series(done, "energy")),
     ]
-    if energy:
-        tables.append(("energy.csv", [key_header, "time (time units)",
-                                      "energy (energy units)"],
-                       _series(done, "energy")))
-    if energy and done:
+    if done and key_header == "trajectory (index)":
+        # a mean over trajectories; gaussian2d's runs are noise sizes
         energies = np.vstack([r.energy for _, r in done])
         tables.append(("energy_mean.csv",
                        ["time (time units)", "mean_energy (energy units)"],

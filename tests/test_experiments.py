@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import warnings
 from functools import partial
 
 import numpy as np
@@ -29,7 +30,8 @@ from odds_nls.noise import (CHUNK_NORMALS, NoiseModel1D, NoiseModel2D,
                             TrajectoryNoise)
 from odds_nls.observables import trapezoid_weights
 from odds_nls.linalg import LUSolver, SolverOptions
-from odds_nls.stepper import RunOptions, StepFailure, state_sha256
+from odds_nls.stepper import (ProblemSpec, RunOptions, StepFailure,
+                              run_trajectory, state_sha256)
 
 
 def tiny_soliton(tmp_path, **extra):
@@ -125,6 +127,17 @@ class TestInitialData:
         xl = x[x < 15.0][np.argmax(left)]
         xr = x[x >= 15.0][np.argmax(right)]
         assert abs(xl) < 1.0 and abs(xr - 30.0) < 1.0
+
+    @pytest.mark.parametrize("datum", [soliton_datum, collision_datum])
+    def test_pulse_data_vanish_far_away_without_a_warning(self, datum):
+        # cosh overflows to inf past |x| ~ 502; 1/inf = 0 is the limit and
+        # no overflow warning reaches the caller
+        x = np.linspace(1000.0, 1100.0, 11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = datum(x)
+        assert u.dtype == complex
+        assert not np.any(u)
 
     def test_gaussian_datum_peak_and_symmetry(self):
         gx = np.linspace(-10.0, 10.0, 41)
@@ -281,6 +294,16 @@ class TestModulusCells:
         field = np.array([[complex(a, b) for b in finite] for a in finite])
         want = [repr(abs(z)) for z in field.ravel().tolist()]
         assert experiments._modulus_cells(field) == want
+
+
+def csv_tables(result) -> dict:
+    """file name -> rows (header first) of each CSV a run wrote."""
+    tables = {}
+    for path in result.paths:
+        if path.endswith(".csv"):
+            with open(path, newline="") as fh:
+                tables[os.path.basename(path)] = list(csv.reader(fh))
+    return tables
 
 
 class TestSolitonRunner:
@@ -514,6 +537,65 @@ class TestOtherRunners:
         with open(snap) as fh:
             header = fh.readline()
         assert "re_u" in header and "im_u" in header
+
+    def test_collision1d_writes_the_energy_of_each_trajectory_and_its_mean(
+            self, tmp_path):
+        cfg = TINY["collision1d"](tmp_path, eps=1.0)
+        result = run_experiment(cfg, workers=1)
+        axes = tuple(experiments._mesh_axes(cfg, 1))
+        _, _, u0, model = experiments._trajectory_ctx(cfg, axes)
+        runs = [run_trajectory(
+            u0, axes, ProblemSpec(cfg.lam, cfg.eps), cfg.tau,
+            experiments._n_steps(cfg),
+            options=RunOptions(noise=model.trajectory(p),
+                               invariant_stride=cfg.invariant_stride))
+            for p in range(cfg.trajectories)]
+        tables = csv_tables(result)
+        energy, energy_mean = tables["energy.csv"], tables["energy_mean.csv"]
+        assert energy[0] == ["trajectory (index)", "time (time units)",
+                             "energy (energy units)"]
+        assert energy[1:] == [
+            [str(p), t, e] for p, res in enumerate(runs)
+            for t, e in zip(cells(res.times), cells(res.energy))]
+        assert energy_mean[0] == ["time (time units)",
+                                  "mean_energy (energy units)"]
+        mean = np.vstack([res.energy for res in runs]).mean(axis=0)
+        assert energy_mean[1:] == [list(row) for row in zip(
+            cells(runs[0].times), cells(mean))]
+        # the two noise trajectories differ, so the mean is no copy of one
+        assert not np.array_equal(runs[0].energy, runs[1].energy)
+
+    def test_gaussian2d_writes_energy_keyed_by_eps_and_no_mean(self,
+                                                              tmp_path):
+        # one row per charge.csv row, under the same keys and times; a
+        # mean over the noise sizes of a sweep is no trajectory mean
+        result = run_experiment(
+            tiny_gaussian2d(tmp_path, eps_values=[0.0, 1.0]), workers=1)
+        tables = csv_tables(result)
+        assert "energy_mean.csv" not in tables
+        charge, energy = tables["charge.csv"], tables["energy.csv"]
+        assert energy[0] == ["eps (dimensionless)", "time (time units)",
+                             "energy (energy units)"]
+        assert len(energy) == len(charge) == 1 + 2 * 3
+        assert ([row[:2] for row in energy[1:]]
+                == [row[:2] for row in charge[1:]])
+        assert {row[0] for row in energy[1:]} == {"0.0", "1.0"}
+        assert all(float(row[2]) > 0 for row in energy[1:])
+
+    @pytest.mark.parametrize("kind, key, unit", [
+        ("soliton1d", "trajectory (index)", "amplitude^2 x space"),
+        ("collision1d", "trajectory (index)", "amplitude^2 x space"),
+        ("gaussian2d", "eps (dimensionless)", "amplitude^2 x area"),
+    ])
+    def test_invariant_headers_carry_key_and_units(self, tmp_path, kind,
+                                                   key, unit):
+        result = run_experiment(TINY[kind](tmp_path), workers=1)
+        headers = {os.path.basename(p): read_bytes(p).split(b"\r\n")[0]
+                   for p in result.paths if p.endswith(".csv")}
+        assert headers["charge.csv"] == (
+            f"{key},time (time units),charge ({unit})".encode())
+        assert headers["energy.csv"] == (
+            f"{key},time (time units),energy (energy units)".encode())
 
     def test_gaussian2d_sweeps_eps_in_one_run(self, tmp_path):
         cfg = from_mapping({"kind": "gaussian2d", "elements": 2, "degree": 5,
