@@ -20,7 +20,8 @@ scheme solves it in complex form with one LUSolver factor, built on the
 first step and reused by every iteration of every later step. On one axis
 the matrix is a Tridiagonal, formed diagonal by diagonal and factored by
 LAPACK's tridiagonal LU; on two axes it is a sparse Kronecker sum, factored
-by SuperLU as the collocation stepper's matrices are.
+by SuperLU as the collocation stepper's matrices are. Their driver,
+run_uniform_trajectory, steps them through stepper.step_through.
 """
 
 import functools
@@ -32,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import KrylovError, LUSolver, SolverOptions, Tridiagonal
-from .stepper import StepFailure, state_sha256
+from .linalg import LUSolver, SolveError, SolverOptions, Tridiagonal
+from .stepper import step_through
 
 FP_TOL = 1e-12
 FP_MAXITER = 50
@@ -57,12 +58,8 @@ def uniform_grid_1d(x_left: float, x_right: float, n_points: int) -> UniformGrid
     return UniformGrid1D(x_left, x_right, nodes, nodes[1] - nodes[0])
 
 
-class FixedPointError(RuntimeError):
+class FixedPointError(SolveError):
     """A fixed point missed its tolerance; residual is its last update."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
 
 
 def _corner_sum(a: np.ndarray) -> np.ndarray:
@@ -146,7 +143,6 @@ class _UniformScheme:
 
     def _build(self, grids, tau: float, lam: float, eps: float,
                opts: SolverOptions | None) -> None:
-        self.grids = grids
         self.shape = tuple(grid.nodes.size - 2 for grid in grids)
         self.tau = tau
         self.lam = lam
@@ -290,25 +286,10 @@ def run_uniform_trajectory(method, u0: np.ndarray, n_steps: int,
                            noise=None, t0: float = 0.0):
     """Drive one of the uniform-grid schemes; returns the final values.
 
-    The noise source is consulted only when the scheme's eps is nonzero. A
-    step whose fixed point or linear solve fails raises StepFailure.
+    Its steps go through stepper.step_through, so a step whose fixed point
+    or linear solve fails raises StepFailure, named for the scheme.
     """
-    values = np.array(u0, dtype=complex)
-    tau = method.tau
-    t = t0
-    for k in range(n_steps):
-        dw = None
-        if method.eps != 0.0:
-            if noise is None:
-                raise ValueError("eps != 0 requires a noise source")
-            dw = noise.grid_increments(k, tau)
-        try:
-            values = method.step(values, dw)
-        except (FixedPointError, KrylovError) as err:
-            raise StepFailure(
-                f"{type(method).__name__} failed at step {k} "
-                f"(t = {t:.6g}): {err}",
-                step=k, time=t, residual=err.residual,
-                state_sha256=state_sha256(values)) from err
-        t = t0 + (k + 1) * tau
-    return values
+    return step_through(np.array(u0, dtype=complex),
+                        lambda u, t, dw: method.step(u, dw), method.tau,
+                        n_steps, t0, method.eps, noise,
+                        type(method).__name__)[0]

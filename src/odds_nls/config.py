@@ -210,6 +210,9 @@ def _coerce(name: str, value):
     if name in _TUPLE_FIELDS:
         if not isinstance(value, (list, tuple)):
             value = [value]
+        # YAML reads yes and true as booleans, which float() takes as 1.0
+        if any(isinstance(v, bool) for v in value):
+            raise ConfigError(f"{name} must be a list of numbers")
         try:
             return tuple(float(v) for v in value)
         except (TypeError, ValueError):
@@ -225,6 +228,8 @@ def _coerce(name: str, value):
         except (TypeError, ValueError):
             raise ConfigError(f"{name} must be an integer")
     if kind is float:
+        if isinstance(value, bool):
+            raise ConfigError(f"{name} must be a number")
         try:
             return float(value)
         except (TypeError, ValueError):

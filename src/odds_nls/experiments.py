@@ -132,22 +132,20 @@ def _check_column(column, one_column: bool) -> None:
                          "line break, or is a one-column row's empty cell)")
 
 
-def _csv_text(columns, checked=()) -> str:
+def _csv_text(columns) -> str:
     """Rows of a block of columns, joined by ',' and ended by CRLF.
 
     A column is a list of cells, or one str that is the cell of every row.
     The lists must be of equal length; a block of str columns alone is one
     row. This is csv.writer's default dialect for cells it would not quote;
-    a cell it would quote raises instead. Columns that are (by identity) in
-    checked were checked before and are not searched again.
+    a cell it would quote raises instead.
     """
     lists = [c for c in columns if not isinstance(c, str)]
     if any(len(c) != len(lists[0]) for c in lists):
         raise ValueError("CSV columns of unequal length "
                          f"{[len(c) for c in lists]}")
     for column in columns:
-        if not any(column is c for c in checked):
-            _check_column(column, len(columns) == 1)
+        _check_column(column, len(columns) == 1)
     n = len(lists[0]) if lists else 1
     if n == 0:
         return ""
@@ -169,18 +167,14 @@ def write_csv(path: str, header, blocks) -> str:
     A block has one column per header field: a list of cells, or one str
     for a cell repeated on every row. Each block is written as it comes, so
     a generator streams a large table through memory one block at a time.
-    A column object given again in the next block is taken to hold the
-    same cells, and is checked for quoting only the first time.
     """
     with open(path, "w", newline="") as fh:
         fh.write(_csv_text(list(header)))
-        previous = ()
         for columns in blocks:
             if len(columns) != len(header):
                 raise ValueError(f"{len(columns)} columns for "
                                  f"{len(header)} header fields")
-            fh.write(_csv_text(columns, previous))
-            previous = columns
+            fh.write(_csv_text(columns))
     return path
 
 
@@ -371,8 +365,7 @@ def run_trajectories(config: ExperimentConfig, workers: int = 1) -> Outputs:
             if not isinstance(r, dict)]
     # the grid's coordinate columns in C order, spread from object arrays
     # of each axis's cells (a tuple per grid point would cost the cyclic
-    # GC several ms on a 2D grid); the same lists in every block, so they
-    # are checked for quoting once
+    # GC several ms on a 2D grid); the same lists in every block
     coordinates = [grid.ravel().tolist() for grid in np.meshgrid(
         *(np.array(cells(a.nodes), dtype=object) for a in axes),
         indexing="ij")]

@@ -40,16 +40,20 @@ import scipy.sparse.linalg
 from .mesh import OverlapMesh1D, assemble_global  # noqa: F401
 
 
-class KrylovError(RuntimeError):
+class SolveError(RuntimeError):
+    """A failed solve and its residual; step_through makes it a StepFailure."""
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
+
+
+class KrylovError(SolveError):
     """Raised when a linear solve does not reach the residual target.
 
     krylov_solve raises it, and so every LUSolver solve; residual is the
     max-norm residual reached, NaN when the data were not finite.
     """
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
 
 
 @dataclass

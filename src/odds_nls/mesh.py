@@ -52,9 +52,6 @@ class OverlapMesh1D:
         start = m * (self.degree - 1)
         return slice(start, start + self.degree + 1)
 
-    def element_nodes(self, m: int) -> np.ndarray:
-        return self.nodes[self.element_slice(m)]
-
     def shared(self, key, build):
         """build(self), built on the first call with key and kept.
 

@@ -7,9 +7,11 @@ serves one or two axes, and it alone writes the Dirichlet edges: those
 across an axis are set just before that axis's solve. In 1D a block of
 trajectories can be stepped as the columns of one state.
 
-run_trajectory records on one path: before the first step and after each
-step it takes the snapshot and the charge/energy sample that step is due,
-and its result holds the final state and time.
+step_through is the one loop over time steps, for run_trajectory and for
+baselines.run_uniform_trajectory. run_trajectory records on one path:
+before the first step and after each step it takes the snapshot and the
+charge/energy sample that step is due, and its result holds the final
+state and time.
 """
 
 import hashlib
@@ -18,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import (CNSystem, KrylovError, SolverOptions, build_cn_system,
+from .linalg import (CNSystem, SolveError, SolverOptions, build_cn_system,
                      cn_step_linear)
 from .mesh import OverlapMesh1D
 from .observables import discrete_charge, discrete_energy
@@ -39,9 +41,9 @@ class ProblemSpec:
 
 
 class StepFailure(RuntimeError):
-    """A linear solve failed mid-run.
+    """A step's linear solve or fixed point failed mid-run.
 
-    Carries the step index, its start time, the solver's residual and the
+    Carries the step index, its start time, the solve's residual and the
     state_sha256 of the state that entered the step, so the step can be
     replayed and checked against it.
     """
@@ -135,6 +137,40 @@ def odds_step_2d(values: np.ndarray, t: float, tau: float,
                       (system_x, system_y), opts, dw)
 
 
+def step_through(values: np.ndarray, step: Callable, tau: float,
+                 n_steps: int, t0: float, eps: float, noise, label: str,
+                 after: Callable = lambda k, t, values: None) -> tuple:
+    """n_steps steps of tau from values at t0: the one time-step loop.
+
+    step(values, t, dw) returns the state at t + tau; dw is None when eps
+    == 0, else step k's noise.grid_increments(k, tau), of the state's shape.
+    after(k, t, values) sees the state after k steps, from k = 0. Returns
+    the final state and time. A missing noise source (before step 0) or an
+    increment of another shape raises ValueError; a SolveError in step k
+    raises StepFailure, "{label} failed at step k (t = ...)", with the
+    sha256 of the state that entered the step.
+    """
+    if eps != 0.0 and noise is None:
+        raise ValueError("eps != 0 requires a noise source")
+    t = t0
+    after(0, t, values)
+    for k in range(n_steps):
+        dw = None if eps == 0.0 else noise.grid_increments(k, tau)
+        if dw is not None and dw.shape != values.shape:
+            raise ValueError(f"noise increment shape {dw.shape} at step {k}, "
+                             f"state shape {values.shape}")
+        try:
+            values = step(values, t, dw)
+        except SolveError as err:
+            raise StepFailure(
+                f"{label} failed at step {k} (t = {t:.6g}): {err}",
+                step=k, time=t, residual=err.residual,
+                state_sha256=state_sha256(values)) from err
+        t = t0 + (k + 1) * tau
+        after(k + 1, t, values)
+    return values, t
+
+
 @dataclass
 class RunOptions:
     noise: object | None = None  # grid_increments(step, dt) source, eps != 0
@@ -199,8 +235,6 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
     if values.ndim > len(axes) and options.record_invariants:
         raise ValueError("a block of trajectories records no invariants; "
                          "set record_invariants=False")
-    if problem.eps != 0.0 and options.noise is None:
-        raise ValueError("eps != 0 requires a noise source in RunOptions")
     if options.invariant_stride < 1:
         raise ValueError(f"invariant_stride must be >= 1, got "
                          f"{options.invariant_stride}")
@@ -214,34 +248,19 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
     wanted = set(options.snapshot_steps)
     snapshots, samples = {}, []
 
-    def record(k, t):
+    def record(k, t, u):
         """The snapshot and the invariant sample due after k steps, at t."""
         if k in wanted:
-            snapshots[k] = values.copy()
+            snapshots[k] = u.copy()
         if options.record_invariants and (k % options.invariant_stride == 0
                                           or k == n_steps):
-            samples.append((t, discrete_charge(values, *nodes),
-                            discrete_energy(values, axes)))
+            samples.append((t, discrete_charge(u, *nodes),
+                            discrete_energy(u, axes)))
 
-    t = t0
-    record(0, t)
-    for k in range(n_steps):
-        dw = None
-        if problem.eps != 0.0:
-            dw = options.noise.grid_increments(k, tau)
-            if dw.shape != values.shape:
-                raise ValueError(f"noise increment shape {dw.shape} at step "
-                                 f"{k}, state shape {values.shape}")
-        try:
-            values = step(values, t, tau, problem, *axes, *systems,
-                          options.solver, dw)
-        except KrylovError as err:
-            raise StepFailure(
-                f"linear solve failed at step {k} (t = {t:.6g}): {err}",
-                step=k, time=t, residual=err.residual,
-                state_sha256=state_sha256(values)) from err
-        t = t0 + (k + 1) * tau
-        record(k + 1, t)
+    values, t = step_through(
+        values, lambda u, t, dw: step(u, t, tau, problem, *axes, *systems,
+                                      options.solver, dw),
+        tau, n_steps, t0, problem.eps, options.noise, "linear solve", record)
 
     # one row per sample; (0, 3) when none, so each series is empty
     times, charge, energy = np.array(samples).reshape(-1, 3).T.copy()

@@ -323,6 +323,19 @@ class TestDriver:
                                noise=Recorder(), t0=0.3)
         assert dts == [0.001] * 300
 
+    @pytest.mark.parametrize("scheme", [SMM2D, FDSCN2D],
+                             ids=["smm2d", "fdscn2d"])
+    def test_increment_of_another_shape_rejected(self, scheme):
+        # a 1D model's increments on a 2D grid: SMM2D spread them over the
+        # grid without a word, FDSCN2D raised a bare IndexError
+        grid = uniform_grid_1d(-2.0, 2.0, 9)
+        model = NoiseModel1D.build(-2.0, 2.0, grid.nodes, modes=4, seed=0)
+        m = scheme(grid, grid, 0.01, 1.0, 0.3)
+        with pytest.raises(ValueError, match=r"^noise increment shape \(9,\) "
+                           r"at step 0, state shape \(9, 9\)$"):
+            run_uniform_trajectory(m, np.zeros((9, 9), complex), 3,
+                                   noise=model.trajectory(0))
+
     def test_noisy_run_reproducible(self):
         grid = uniform_grid_1d(-2.0, 2.0, 21)
         model = NoiseModel1D.build(-2.0, 2.0, grid.nodes, modes=20, seed=3)

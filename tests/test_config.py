@@ -258,6 +258,19 @@ class TestMappingAndFiles:
         assert ("config error: trajectories must be an integer"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("key, raw, value", [
+        ("eps", "true", True), ("t_final", "yes", True),
+        ("snapshot_times", "[0.02, true]", [0.02, True]),
+        ("eps_values", "no", False)])
+    def test_boolean_rejected_for_number_fields(self, key, raw, value):
+        # float() takes a YAML true or yes as 1.0, so --set eps=true ran
+        # with eps = 1
+        message = f"^{key} must be a (number|list of numbers)$"
+        with pytest.raises(ConfigError, match=message):
+            from_mapping({"kind": "gaussian2d", key: value})
+        with pytest.raises(ConfigError, match=message):
+            apply_overrides(builtin_configs()["gaussian2d"], [f"{key}={raw}"])
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         # numpy's SeedSequence raised ValueError at the first draw, so the
         # CLI died mid-run with a traceback and exit 1

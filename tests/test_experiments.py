@@ -225,7 +225,7 @@ class TestCSVWriter:
         # a constant is checked in a block of no rows too
         with pytest.raises(ValueError, match="quoting"):
             write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[cell, []]])
-        # a reused column is checked where it first appears
+        # a reused column is checked in every block it is given in
         reused = ["ok", cell]
         with pytest.raises(ValueError, match="quoting"):
             write_csv(str(tmp_path / "t.csv"), ["a", "b"],
@@ -233,7 +233,7 @@ class TestCSVWriter:
                        [reused, ["3", "4"]]])
 
         def gap_then_changed():
-            # only a column of the block just written skips the check
+            # a column changed after a block was written is checked again
             column = ["ok", "ok"]
             yield [column, ["1", "2"]]
             yield [["3"], "x"]
@@ -676,8 +676,8 @@ class TestOtherRunners:
             runs.append(real_run(*args, **kwargs))
             return runs[-1]
 
-        def block_text(columns, checked=()):
-            texts.append(real_text(columns, checked))
+        def block_text(columns):
+            texts.append(real_text(columns))
             return texts[-1]
 
         real_run, real_text = experiments.run_trajectory, experiments._csv_text

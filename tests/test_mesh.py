@@ -52,8 +52,8 @@ class TestBuildMesh:
     def test_elements_overlap_by_sharing_nodes(self):
         mesh = build_mesh(0.0, 1.0, 4, 6)
         for m in range(3):
-            left = mesh.element_nodes(m)
-            right = mesh.element_nodes(m + 1)
+            left = mesh.nodes[mesh.element_slice(m)]
+            right = mesh.nodes[mesh.element_slice(m + 1)]
             # last two nodes of each element are the first two of the next
             np.testing.assert_array_equal(left[-2:], right[:2])
 
@@ -62,8 +62,8 @@ class TestBuildMesh:
         # same float, not merely a close one
         mesh = build_mesh(-5.0, 5.0, 6, 9)
         for m in range(5):
-            a = mesh.element_nodes(m)[-2:]
-            b = mesh.element_nodes(m + 1)[:2]
+            a = mesh.nodes[mesh.element_slice(m)][-2:]
+            b = mesh.nodes[mesh.element_slice(m + 1)][:2]
             assert a[0] == b[0] and a[1] == b[1]
 
     def test_element_slice_width(self):
@@ -79,7 +79,8 @@ class TestBuildMesh:
         for m in range(3):
             a, b = mesh.element_bounds[m]
             phys = 0.5 * (a + b) + 0.5 * (b - a) * ref
-            np.testing.assert_allclose(mesh.element_nodes(m), phys, atol=1e-12)
+            np.testing.assert_allclose(mesh.nodes[mesh.element_slice(m)],
+                                       phys, atol=1e-12)
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
