@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import LUSolver, SolveError, SolverOptions, Tridiagonal
+from .linalg import LUSolver, SolveError, Tridiagonal
 from .stepper import step_through
 
 FP_TOL = 1e-12
@@ -134,20 +134,19 @@ class _UniformScheme:
     weight when averaged, else the identity. On one axis S, L and A are
     Tridiagonal, from _axis_operators; on two, S and L are sparse, from
     _tensor_operators. The step works on the interior of a field of one or
-    two axes, flattened in C order to solve with A. fixed_point_iterations
-    counts the solves of every step taken so far.
+    two axes, flattened in C order to solve with A, to SolverOptions'
+    default residual target. fixed_point_iterations counts the solves of
+    every step taken so far.
     """
 
     averaged: bool
     theta: float
 
-    def _build(self, grids, tau: float, lam: float, eps: float,
-               opts: SolverOptions | None) -> None:
+    def _build(self, grids, tau: float, lam: float, eps: float) -> None:
         self.shape = tuple(grid.nodes.size - 2 for grid in grids)
         self.tau = tau
         self.lam = lam
         self.eps = eps
-        self.opts = opts or SolverOptions()
         self.fixed_point_iterations = 0
         if len(grids) == 1:
             self.S, self.L = _axis_operators(grids[0], self.averaged)
@@ -167,7 +166,7 @@ class _UniformScheme:
         v = v0
         last = math.inf
         for k in range(1, FP_MAXITER + 1):
-            v_new = self.lu.solve(apply_rhs(v), self.opts)
+            v_new = self.lu.solve(apply_rhs(v))
             delta = float(np.max(np.abs(v_new - v)))
             v = v_new
             if delta <= FP_TOL * max(1.0, float(np.max(np.abs(v_new)))):
@@ -195,9 +194,9 @@ class SMM1D(_UniformScheme):
     averaged = True
     theta = 1.0
 
-    def __init__(self, grid: UniformGrid1D, tau: float, lam: float, eps: float,
-                 opts: SolverOptions | None = None):
-        self._build((grid,), tau, lam, eps, opts)
+    def __init__(self, grid: UniformGrid1D, tau: float, lam: float,
+                 eps: float):
+        self._build((grid,), tau, lam, eps)
 
     def step(self, u: np.ndarray, dw: np.ndarray | None = None) -> np.ndarray:
         inner = (slice(1, -1),) * u.ndim
@@ -234,9 +233,9 @@ class FDSCN1D(_UniformScheme):
     averaged = False
     theta = 0.5
 
-    def __init__(self, grid: UniformGrid1D, tau: float, lam: float, eps: float,
-                 opts: SolverOptions | None = None):
-        self._build((grid,), tau, lam, eps, opts)
+    def __init__(self, grid: UniformGrid1D, tau: float, lam: float,
+                 eps: float):
+        self._build((grid,), tau, lam, eps)
 
     def _nonlinear_stage(self, un: np.ndarray) -> np.ndarray:
         """u* of stage one from the interior values un, in un's shape."""
@@ -268,22 +267,19 @@ class SMM2D(SMM1D):
     """
 
     def __init__(self, grid_x: UniformGrid1D, grid_y: UniformGrid1D,
-                 tau: float, lam: float, eps: float,
-                 opts: SolverOptions | None = None):
-        self._build((grid_x, grid_y), tau, lam, eps, opts)
+                 tau: float, lam: float, eps: float):
+        self._build((grid_x, grid_y), tau, lam, eps)
 
 
 class FDSCN2D(FDSCN1D):
     """FDSCN on a uniform rectangle, with the five-point Laplacian."""
 
     def __init__(self, grid_x: UniformGrid1D, grid_y: UniformGrid1D,
-                 tau: float, lam: float, eps: float,
-                 opts: SolverOptions | None = None):
-        self._build((grid_x, grid_y), tau, lam, eps, opts)
+                 tau: float, lam: float, eps: float):
+        self._build((grid_x, grid_y), tau, lam, eps)
 
 
-def run_uniform_trajectory(method, u0: np.ndarray, n_steps: int,
-                           noise=None, t0: float = 0.0):
+def run_uniform_trajectory(method, u0: np.ndarray, n_steps: int, noise=None):
     """Drive one of the uniform-grid schemes; returns the final values.
 
     Its steps go through stepper.step_through, so a step whose fixed point
@@ -291,5 +287,4 @@ def run_uniform_trajectory(method, u0: np.ndarray, n_steps: int,
     """
     return step_through(np.array(u0, dtype=complex),
                         lambda u, t, dw: method.step(u, dw), method.tau,
-                        n_steps, t0, method.eps, noise,
-                        type(method).__name__)[0]
+                        n_steps, method.eps, noise, type(method).__name__)

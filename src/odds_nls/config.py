@@ -77,6 +77,11 @@ class ExperimentConfig:
             if not all(map(math.isfinite, values)):
                 raise ConfigError(f"{f.name} must be finite, got "
                                   f"{getattr(self, f.name)!r}")
+        for name, reader in (("eps_values", "gaussian2d"),
+                             ("tau_ladder", "convergence")):
+            if getattr(self, name) and self.kind != reader:
+                raise ConfigError(f"{name} is read by {reader} only, not by "
+                                  f"{self.kind}")
         if self.x_right <= self.x_left:
             raise ConfigError("x_right must exceed x_left")
         two_d = (self.kind == "gaussian2d"

@@ -510,9 +510,9 @@ def run_efficiency(config: ExperimentConfig, workers: int = 1) -> Outputs:
     for name, (points, run) in _schemes(config, n_steps).items():
         times, counts = [], []
         for rep in reps:
-            t0 = time.perf_counter()
+            started = time.perf_counter()
             counts.append(run(rep))
-            times.append(time.perf_counter() - t0)
+            times.append(time.perf_counter() - started)
         if counts[0] is not None:
             iterations[name] = sum(counts) / (config.repeats * n_steps)
         medians[name] = statistics.median(times)
@@ -557,13 +557,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {dirpath}: "
                           f"{exc.strerror}") from exc
-    t0 = time.perf_counter()
+    started = time.perf_counter()
     out = RUNNERS[config.kind](config, workers=workers)
-    t_run = time.perf_counter() - t0
-    t0 = time.perf_counter()
+    t_run = time.perf_counter() - started
+    started = time.perf_counter()
     paths = [write_csv(os.path.join(dirpath, name), header, blocks)
              for name, header, blocks in out.tables]
-    stages = {"run": t_run, "write": time.perf_counter() - t0}
+    stages = {"run": t_run, "write": time.perf_counter() - started}
     man = _manifest(config, out.trajectories, stages, paths, out.failures,
                     out.extra)
     paths.append(_write_manifest(dirpath, man))

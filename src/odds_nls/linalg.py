@@ -56,32 +56,36 @@ class KrylovError(SolveError):
     """
 
 
+# the GMRES refinement in krylov_solve, which on the step path runs only
+# when the LU solution misses the residual target
+MAX_KRYLOV = 200        # GMRES restart length
+MAX_RESTARTS = 400      # GMRES restart cycles
+
+
 @dataclass
 class SolverOptions:
-    """Tolerances of a linear solve.
+    """The max-norm residual target of a linear solve.
 
-    residual_tol applies to every solve. The GMRES fields govern the
-    refinement in krylov_solve, which on the step path runs only when the
-    LU solution misses residual_tol.
+    A solve given no options, as every step of a trajectory run and of a
+    reference scheme is, meets the default.
     """
 
     residual_tol: float = 1e-5     # max-norm target on b - G x
-    max_krylov: int = 200          # GMRES restart length
-    max_restarts: int = 400        # GMRES restart cycles
 
 
 def krylov_solve(G, b: np.ndarray, x0: np.ndarray | None = None,
                  opts: SolverOptions | None = None) -> np.ndarray:
     """Solve G x = b to a max-norm residual of opts.residual_tol.
 
-    One matvec checks x0 (zero when None), which is returned when it meets
-    the target. Otherwise SciPy's restarted GMRES refines it to a 2-norm
-    residual of residual_tol, which bounds the max-norm. G needs only shape
-    and @. x keeps the dtype of x0, or of b when x0 is None.
+    opts None means SolverOptions(). One matvec checks x0 (zero when None),
+    which is returned when it meets the target. Otherwise SciPy's GMRES,
+    restarted every MAX_KRYLOV iterations, refines it to a 2-norm residual
+    of residual_tol, which bounds the max-norm. G needs only shape and @.
+    x keeps the dtype of x0, or of b when x0 is None.
 
     Raises KrylovError if the true residual misses the target after
-    opts.max_restarts cycles, and at once if the residual of x0 is not
-    finite.
+    MAX_RESTARTS cycles of MAX_KRYLOV, and at once if the residual of x0 is
+    not finite.
     """
     opts = opts or SolverOptions()
     n = b.shape[0]
@@ -97,13 +101,13 @@ def krylov_solve(G, b: np.ndarray, x0: np.ndarray | None = None,
                                             dtype=r.dtype)
     x, _ = scipy.sparse.linalg.gmres(op, b, x, rtol=0.0,
                                      atol=opts.residual_tol,
-                                     restart=opts.max_krylov,
-                                     maxiter=opts.max_restarts)
+                                     restart=MAX_KRYLOV,
+                                     maxiter=MAX_RESTARTS)
     res = float(np.max(np.abs(b - G @ x)))
     if res <= opts.residual_tol:
         return x
     raise KrylovError(
-        f"no convergence after {opts.max_restarts} restarts "
+        f"no convergence after MAX_RESTARTS = {MAX_RESTARTS} restarts "
         f"(residual {res:.3e} > {opts.residual_tol:.1e})", residual=res)
 
 
@@ -179,11 +183,12 @@ class LUSolver:
         """Solve A x = b for one line's b or every column of a block's b.
 
         The factor's solution starts krylov_solve (krylov_solve_block for a
-        block): one matvec checks its residual against opts.residual_tol, and
-        only a solution that misses it is refined by GMRES. Raises
-        KrylovError when GMRES misses it too, and at once when the residual
-        is not finite (a NaN or inf in b). The first solve raises
-        np.linalg.LinAlgError for a singular Tridiagonal.
+        block): one matvec checks its residual against opts.residual_tol
+        (SolverOptions' default when opts is None), and only a solution that
+        misses it is refined by GMRES. Raises KrylovError when GMRES misses
+        it too, and at once when the residual is not finite (a NaN or inf in
+        b). The first solve raises np.linalg.LinAlgError for a singular
+        Tridiagonal.
         """
         if self._solve is None:
             self._solve = self._factor()

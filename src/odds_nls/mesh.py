@@ -41,17 +41,6 @@ class OverlapMesh1D:
     def n_nodes(self) -> int:
         return self.nodes.size
 
-    @property
-    def n_interior(self) -> int:
-        return self.nodes.size - 2
-
-    def element_slice(self, m: int) -> slice:
-        """Global index range of element m's J+1 nodes."""
-        if not 0 <= m < self.n_elements:
-            raise ValueError(f"element {m} outside 0..{self.n_elements - 1}")
-        start = m * (self.degree - 1)
-        return slice(start, start + self.degree + 1)
-
     def shared(self, key, build):
         """build(self), built on the first call with key and kept.
 

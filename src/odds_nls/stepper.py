@@ -8,14 +8,14 @@ across an axis are set just before that axis's solve. In 1D a block of
 trajectories can be stepped as the columns of one state.
 
 step_through is the one loop over time steps, for run_trajectory and for
-baselines.run_uniform_trajectory. run_trajectory records on one path:
-before the first step and after each step it takes the snapshot and the
-charge/energy sample that step is due, and its result holds the final
-state and time.
+baselines.run_uniform_trajectory. Time starts at 0, and step k runs from
+k tau to (k + 1) tau. run_trajectory records on one path: before the first
+step and after each step it takes the snapshot and the charge/energy sample
+that step is due, and its result holds the final state.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -138,21 +138,22 @@ def odds_step_2d(values: np.ndarray, t: float, tau: float,
 
 
 def step_through(values: np.ndarray, step: Callable, tau: float,
-                 n_steps: int, t0: float, eps: float, noise, label: str,
-                 after: Callable = lambda k, t, values: None) -> tuple:
-    """n_steps steps of tau from values at t0: the one time-step loop.
+                 n_steps: int, eps: float, noise, label: str,
+                 after: Callable = lambda k, t, values: None) -> np.ndarray:
+    """n_steps steps of tau from values at time 0: the one time-step loop.
 
-    step(values, t, dw) returns the state at t + tau; dw is None when eps
-    == 0, else step k's noise.grid_increments(k, tau), of the state's shape.
-    after(k, t, values) sees the state after k steps, from k = 0. Returns
-    the final state and time. A missing noise source (before step 0) or an
-    increment of another shape raises ValueError; a SolveError in step k
-    raises StepFailure, "{label} failed at step k (t = ...)", with the
-    sha256 of the state that entered the step.
+    Step k runs from t = k tau. step(values, t, dw) returns the state at
+    t + tau; dw is None when eps == 0, else step k's
+    noise.grid_increments(k, tau), of the state's shape. after(k, t, values)
+    sees the state after k steps, at t = k tau, from k = 0. Returns the
+    final state. A missing noise source (before step 0) or an increment of
+    another shape raises ValueError; a SolveError in step k raises
+    StepFailure, "{label} failed at step k (t = ...)", with the sha256 of
+    the state that entered the step.
     """
     if eps != 0.0 and noise is None:
         raise ValueError("eps != 0 requires a noise source")
-    t = t0
+    t = 0.0
     after(0, t, values)
     for k in range(n_steps):
         dw = None if eps == 0.0 else noise.grid_increments(k, tau)
@@ -166,15 +167,14 @@ def step_through(values: np.ndarray, step: Callable, tau: float,
                 f"{label} failed at step {k} (t = {t:.6g}): {err}",
                 step=k, time=t, residual=err.residual,
                 state_sha256=state_sha256(values)) from err
-        t = t0 + (k + 1) * tau
+        t = (k + 1) * tau
         after(k + 1, t, values)
-    return values, t
+    return values
 
 
 @dataclass
 class RunOptions:
     noise: object | None = None  # grid_increments(step, dt) source, eps != 0
-    solver: SolverOptions = field(default_factory=SolverOptions)
     snapshot_steps: tuple[int, ...] = ()
     record_invariants: bool = True
     invariant_stride: int = 1
@@ -186,13 +186,12 @@ class TrajectoryResult:
     charge: np.ndarray
     energy: np.ndarray
     snapshots: dict        # step index -> grid values copy
-    values: np.ndarray     # final state
-    t: float               # its time
+    values: np.ndarray     # final state, at n_steps tau
 
 
 def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
-                   n_steps: int, t0: float = 0.0,
-                   options: RunOptions | None = None) -> TrajectoryResult:
+                   n_steps: int, options: RunOptions | None = None
+                   ) -> TrajectoryResult:
     """Integrate one trajectory, or a block of them, over n_steps of tau.
 
     Args:
@@ -204,9 +203,10 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
             tau), the system kept in that mesh object's store.
         problem: equation parameters and Dirichlet data.
         tau: time step, positive and finite.
-        n_steps: number of steps, >= 0.
-        t0: initial time.
-        options: noise source, solver settings, snapshot/invariant recording.
+        n_steps: number of steps, >= 0; time starts at 0, and step k runs
+            from k tau.
+        options: noise source and snapshot/invariant recording. Every solve
+            meets SolverOptions' default residual target.
 
     Returns:
         TrajectoryResult with invariant series, requested snapshots and the
@@ -257,12 +257,12 @@ def run_trajectory(u0: np.ndarray, mesh, problem: ProblemSpec, tau: float,
             samples.append((t, discrete_charge(u, *nodes),
                             discrete_energy(u, axes)))
 
-    values, t = step_through(
+    values = step_through(
         values, lambda u, t, dw: step(u, t, tau, problem, *axes, *systems,
-                                      options.solver, dw),
-        tau, n_steps, t0, problem.eps, options.noise, "linear solve", record)
+                                      dw=dw),
+        tau, n_steps, problem.eps, options.noise, "linear solve", record)
 
     # one row per sample; (0, 3) when none, so each series is empty
     times, charge, energy = np.array(samples).reshape(-1, 3).T.copy()
     return TrajectoryResult(times=times, charge=charge, energy=energy,
-                            snapshots=snapshots, values=values, t=t)
+                            snapshots=snapshots, values=values)

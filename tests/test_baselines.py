@@ -8,11 +8,8 @@ from odds_nls.baselines import (FDSCN1D, FDSCN2D, SMM1D, SMM2D,
                                 run_uniform_trajectory, uniform_grid_1d)
 from odds_nls.config import apply_overrides, builtin_configs
 from odds_nls.experiments import soliton_datum
-from odds_nls.linalg import SolverOptions
 from odds_nls.noise import NoiseModel1D, NoiseModel2D
 from odds_nls.stepper import StepFailure, state_sha256
-
-TIGHT = SolverOptions(residual_tol=1e-11)
 
 
 def exact_soliton(x, t):
@@ -55,7 +52,7 @@ class TestSMM1D:
         # with S the half-node averaging weight; drift must sit at the
         # fixed-point/solver tolerance, far below discretization error
         grid = uniform_grid_1d(-10.0, 10.0, 101)
-        m = SMM1D(grid, tau=0.01, lam=1.0, eps=0.0, opts=TIGHT)
+        m = SMM1D(grid, tau=0.01, lam=1.0, eps=0.0)
         u = exact_soliton(grid.nodes, 0.0)
         u[0] = u[-1] = 0.0
 
@@ -73,7 +70,7 @@ class TestSMM1D:
         # implicit system the step claims to solve
         grid = uniform_grid_1d(-5.0, 5.0, 41)
         tau = 0.02
-        m = SMM1D(grid, tau, lam=1.0, eps=0.0, opts=TIGHT)
+        m = SMM1D(grid, tau, lam=1.0, eps=0.0)
         u = exact_soliton(grid.nodes, 0.0)
         u[0] = u[-1] = 0.0
         u_new = m.step(u)
@@ -88,7 +85,7 @@ class TestSMM1D:
     def test_tracks_exact_standing_soliton(self):
         grid = uniform_grid_1d(-15.0, 15.0, 401)
         tau = 0.005
-        m = SMM1D(grid, tau, 1.0, 0.0, TIGHT)
+        m = SMM1D(grid, tau, 1.0, 0.0)
         u0 = exact_soliton(grid.nodes, 0.0)
         u0[0] = u0[-1] = 0.0
         uf = run_uniform_trajectory(m, u0, round(0.5 / tau))
@@ -100,8 +97,7 @@ class TestFDSCN1D:
         # both stages preserve sum |u|^2 exactly: the nonlinear CN stage by
         # construction, the noise stage because it is a pointwise phase
         grid = uniform_grid_1d(-10.0, 10.0, 101)
-        m = FDSCN1D(grid, tau=0.01, lam=1.0, eps=0.3,
-                    opts=SolverOptions(residual_tol=1e-12))
+        m = FDSCN1D(grid, tau=0.01, lam=1.0, eps=0.3)
         model = NoiseModel1D.build(-10.0, 10.0, grid.nodes, modes=60, seed=1)
         u = exact_soliton(grid.nodes, 0.0)
         u[0] = u[-1] = 0.0
@@ -115,7 +111,7 @@ class TestFDSCN1D:
         from scipy.optimize import fsolve
         grid = uniform_grid_1d(-5.0, 5.0, 31)
         tau = 0.02
-        m = FDSCN1D(grid, tau, lam=1.0, eps=0.0, opts=TIGHT)
+        m = FDSCN1D(grid, tau, lam=1.0, eps=0.0)
         un = exact_soliton(grid.nodes, 0.0)[1:-1]
         got = m._nonlinear_stage(un)
         L = m.L.toarray()
@@ -137,7 +133,7 @@ class TestFDSCN1D:
     def test_tracks_exact_standing_soliton(self):
         grid = uniform_grid_1d(-15.0, 15.0, 401)
         tau = 0.005
-        m = FDSCN1D(grid, tau, 1.0, 0.0, TIGHT)
+        m = FDSCN1D(grid, tau, 1.0, 0.0)
         u0 = exact_soliton(grid.nodes, 0.0)
         u0[0] = u0[-1] = 0.0
         uf = run_uniform_trajectory(m, u0, round(0.5 / tau))
@@ -151,8 +147,8 @@ class TestFDSCN1D:
         u = exact_soliton(grid.nodes, 0.0)
         u[0] = u[-1] = 0.0
         dw = np.linspace(0.0, 0.5, grid.nodes.size)
-        noisy = FDSCN1D(grid, 0.01, lam=1.0, eps=1.0, opts=TIGHT).step(u, dw)
-        plain = FDSCN1D(grid, 0.01, lam=1.0, eps=0.0, opts=TIGHT).step(u)
+        noisy = FDSCN1D(grid, 0.01, lam=1.0, eps=1.0).step(u, dw)
+        plain = FDSCN1D(grid, 0.01, lam=1.0, eps=0.0).step(u)
         np.testing.assert_allclose(noisy[1:-1],
                                    plain[1:-1] * np.exp(-1j * dw[1:-1]),
                                    atol=1e-14)
@@ -234,7 +230,7 @@ class TestUniform2D:
         self.gx, self.gy, self.u0 = gaussian_plane()
 
     def test_smm2d_conserves_tensor_averaged_charge(self):
-        m = SMM2D(self.gx, self.gy, tau=0.01, lam=1.0, eps=0.0, opts=TIGHT)
+        m = SMM2D(self.gx, self.gy, tau=0.01, lam=1.0, eps=0.0)
 
         def s_charge(v):
             vi = v[1:-1, 1:-1].reshape(-1)
@@ -247,7 +243,7 @@ class TestUniform2D:
         assert abs(s_charge(u) - q0) / q0 < 1e-10
 
     def test_fdscn2d_conserves_plain_charge_with_noise(self):
-        m = FDSCN2D(self.gx, self.gy, tau=0.01, lam=1.0, eps=0.5, opts=TIGHT)
+        m = FDSCN2D(self.gx, self.gy, tau=0.01, lam=1.0, eps=0.5)
         model = NoiseModel2D.build(-4.0, 4.0, -4.0, 4.0,
                                    self.gx.nodes, self.gy.nodes,
                                    modes_x=10, modes_y=10, seed=2)
@@ -259,8 +255,8 @@ class TestUniform2D:
         assert abs(np.sum(np.abs(u) ** 2) - q0) / q0 < 1e-10
 
     def test_2d_steps_keep_boundary_zero(self):
-        for m in (SMM2D(self.gx, self.gy, 0.01, 1.0, 0.0, TIGHT),
-                  FDSCN2D(self.gx, self.gy, 0.01, 1.0, 0.0, TIGHT)):
+        for m in (SMM2D(self.gx, self.gy, 0.01, 1.0, 0.0),
+                  FDSCN2D(self.gx, self.gy, 0.01, 1.0, 0.0)):
             out = m.step(self.u0.copy())
             assert not np.any(out[0, :]) and not np.any(out[-1, :])
             assert not np.any(out[:, 0]) and not np.any(out[:, -1])
@@ -269,7 +265,7 @@ class TestUniform2D:
 class TestDriver:
     def test_missing_noise_rejected(self):
         grid = uniform_grid_1d(-1.0, 1.0, 11)
-        m = SMM1D(grid, 0.01, 1.0, 0.5, TIGHT)
+        m = SMM1D(grid, 0.01, 1.0, 0.5)
         with pytest.raises(ValueError):
             run_uniform_trajectory(m, np.zeros(11, complex), 2)
 
@@ -279,7 +275,7 @@ class TestDriver:
                 raise AssertionError("noise consulted in a deterministic run")
 
         grid = uniform_grid_1d(-1.0, 1.0, 11)
-        m = FDSCN1D(grid, 0.01, 1.0, 0.0, TIGHT)
+        m = FDSCN1D(grid, 0.01, 1.0, 0.0)
         u0 = np.sin(np.pi * (grid.nodes + 1.0)) + 0j
         run_uniform_trajectory(m, u0, 2, noise=Boom())
 
@@ -311,17 +307,17 @@ class TestDriver:
 
     def test_increments_are_drawn_over_exactly_tau(self):
         grid = uniform_grid_1d(-2.0, 2.0, 9)
-        dts = []
+        draws = []
 
         class Recorder:
             def grid_increments(self, step, dt):
-                dts.append(dt)
+                draws.append((step, dt))
                 return np.zeros(grid.nodes.size)
 
         m = FDSCN1D(grid, 0.001, 1.0, 0.1)
         run_uniform_trajectory(m, np.zeros(grid.nodes.size, complex), 300,
-                               noise=Recorder(), t0=0.3)
-        assert dts == [0.001] * 300
+                               noise=Recorder())
+        assert draws == [(k, 0.001) for k in range(300)]
 
     @pytest.mark.parametrize("scheme", [SMM2D, FDSCN2D],
                              ids=["smm2d", "fdscn2d"])
@@ -339,14 +335,14 @@ class TestDriver:
     def test_noisy_run_reproducible(self):
         grid = uniform_grid_1d(-2.0, 2.0, 21)
         model = NoiseModel1D.build(-2.0, 2.0, grid.nodes, modes=20, seed=3)
-        m = SMM1D(grid, 0.01, 1.0, 0.4, TIGHT)
+        m = SMM1D(grid, 0.01, 1.0, 0.4)
         u0 = np.sin(np.pi * (grid.nodes + 2.0) / 4.0) + 0j
         a = run_uniform_trajectory(m, u0, 4, noise=model.trajectory(1))
         b = run_uniform_trajectory(m, u0, 4, noise=model.trajectory(1))
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("cause", ["fixed_point", "linear_solve"])
-    def test_step_failure_names_scheme_step_and_time(self, cause):
+    def test_step_failure_names_scheme_step_and_time(self, cause, request):
         # a strong cubic term at a long step stalls SMM's fixed point; an
         # unreachable tolerance stops its LU/GMRES solve
         grid = uniform_grid_1d(-20.0, 20.0, 41)
@@ -355,16 +351,14 @@ class TestDriver:
         if cause == "fixed_point":
             m = SMM1D(grid, 0.1, 16.0, 0.0)
         else:
-            hopeless = SolverOptions(residual_tol=1e-30, max_krylov=4,
-                                     max_restarts=2)
-            m = SMM1D(grid, 0.01, 1.0, 0.0, hopeless)
+            request.getfixturevalue("hopeless_solves")
+            m = SMM1D(grid, 0.01, 1.0, 0.0)
         with pytest.raises(StepFailure) as info:
-            run_uniform_trajectory(m, u0, 3, t0=0.5)
+            run_uniform_trajectory(m, u0, 3)
         assert info.value.step == 0
-        assert info.value.time == pytest.approx(0.5)
+        assert info.value.time == 0.0
         assert info.value.residual > 0
-        assert "SMM1D" in str(info.value) and "step 0" in str(info.value)
-        assert "t = 0.5" in str(info.value)
+        assert "SMM1D failed at step 0 (t = 0): " in str(info.value)
         assert info.value.state_sha256 == state_sha256(u0)
 
     def test_runaway_fixed_point_fails_fast(self):

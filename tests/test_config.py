@@ -130,6 +130,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match="^eps_values must not repeat"):
             cfg.validate()
 
+    @pytest.mark.parametrize("kind, key, reader", [
+        ("soliton1d", "eps_values", "gaussian2d"),
+        ("convergence", "eps_values", "gaussian2d"),
+        ("gaussian2d", "tau_ladder", "convergence"),
+        ("efficiency", "tau_ladder", "convergence")])
+    def test_rejects_a_list_key_its_kind_never_reads(self, kind, key, reader,
+                                                     tmp_path, capsys):
+        # soliton1d ran at its one eps and wrote no sweep, with exit 0
+        message = f"{key} is read by {reader} only, not by {kind}"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            from_mapping({"kind": kind, key: [0.5, 0.25]})
+        code = cli.main(["run", kind, "--set", f"{key}=[0.5, 0.25]",
+                         "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv, message", [
         (["run", "convergence", "--set", "trajectories=2",
           "--set", "tau_ladder=[0.0625]"], "tau_ladder must hold"),

@@ -29,7 +29,7 @@ from odds_nls.mesh import build_mesh
 from odds_nls.noise import (CHUNK_NORMALS, NoiseModel1D, NoiseModel2D,
                             TrajectoryNoise)
 from odds_nls.observables import trapezoid_weights
-from odds_nls.linalg import LUSolver, SolverOptions
+from odds_nls.linalg import LUSolver
 from odds_nls.stepper import (ProblemSpec, RunOptions, StepFailure,
                               run_trajectory, state_sha256)
 
@@ -349,13 +349,10 @@ class TestSolitonRunner:
         old.write("\n")
         assert read_bytes(path) == old.getvalue().encode()
 
-    def test_failure_record_replays_its_step(self, tmp_path, monkeypatch):
+    def test_failure_record_replays_its_step(self, tmp_path,
+                                             hopeless_solves):
         # an unsolvable tolerance fails each trajectory at step 0; its
         # record names the seed and the hash of the state that entered it
-        hopeless = SolverOptions(residual_tol=1e-30, max_krylov=4,
-                                 max_restarts=2)
-        monkeypatch.setattr(experiments, "RunOptions",
-                            partial(RunOptions, solver=hopeless))
         cfg = tiny_soliton(tmp_path, seed=5)
         result = run_experiment(cfg, workers=1)
         u0 = soliton_datum(build_mesh(-10.0, 10.0, 3, 8).nodes)
@@ -428,11 +425,7 @@ class TestSolitonRunner:
             assert 0.0 < worst < 1e-2, cfg.kind
 
     def test_charge_drift_is_null_when_no_run_succeeded(self, tmp_path,
-                                                        monkeypatch):
-        hopeless = SolverOptions(residual_tol=1e-30, max_krylov=4,
-                                 max_restarts=2)
-        monkeypatch.setattr(experiments, "RunOptions",
-                            partial(RunOptions, solver=hopeless))
+                                                        hopeless_solves):
         result = run_experiment(tiny_soliton(tmp_path), workers=1)
         assert len(result.manifest["failures"]) == 2
         assert result.manifest["charge_drift"] is None

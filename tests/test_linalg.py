@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.linalg.lapack
 import scipy.sparse.linalg
 
+import odds_nls.linalg as linalg
 import odds_nls.stepper as stepper
 from odds_nls.linalg import (CNSystem, KrylovError, LUSolver, SolverOptions,
                              Tridiagonal, build_cn_system, cn_step_linear,
@@ -59,14 +60,16 @@ class TestKrylovSolve:
         x = krylov_solve(sp.csr_matrix(A), b, opts=opts)
         assert np.max(np.abs(b - A @ x)) <= 1e-10
 
-    def test_singular_inconsistent_system_raises_with_residual(self):
+    def test_singular_inconsistent_system_raises_with_residual(
+            self, monkeypatch):
         # rank-1 matrix, b outside its range: no restart can fix this
         A = sp.csr_matrix(np.outer([1.0, 1.0], [1.0, 1.0]))
         b = np.array([1.0, -1.0])
-        opts = SolverOptions(max_restarts=5)
+        monkeypatch.setattr(linalg, "MAX_RESTARTS", 5)
         with pytest.raises(KrylovError) as info:
-            krylov_solve(A, b, opts=opts)
+            krylov_solve(A, b)
         assert info.value.residual > 0
+        assert "after MAX_RESTARTS = 5 restarts" in str(info.value)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -159,12 +162,11 @@ class TestLUSolver:
         assert np.isnan(info.value.residual)
         assert counted.count == 1           # the check only, no GMRES
 
-    def test_missed_residual_raises_after_gmres(self, kind):
+    def test_missed_residual_raises_after_gmres(self, kind, short_gmres):
         # the LU solution misses an unreachable tolerance, so GMRES
         # refinement runs until its restarts are spent
         solver = LUSolver(MATRICES[kind][0](15, 27))
-        hopeless = SolverOptions(residual_tol=1e-30, max_krylov=4,
-                                 max_restarts=2)
+        hopeless = SolverOptions(residual_tol=1e-30)
         b = np.ones(15, dtype=complex)
         with pytest.raises(KrylovError) as info:
             solver.solve(b, hopeless)
@@ -246,7 +248,7 @@ class TestResidualCheck:
         assert alone.count > 2
         assert G.count == self.B.shape[1] + alone.count
 
-    def test_refines_a_missed_start_on_a_cn_system(self):
+    def test_refines_a_missed_start_on_a_cn_system(self, request):
         # a complex start is refined in complex arithmetic, imaginary part
         # included
         system = build_cn_system(build_mesh(-1.0, 1.0, 4, 8), 0.01)
@@ -262,10 +264,9 @@ class TestResidualCheck:
         assert x.dtype == complex
         assert np.max(np.abs(b - A @ x)) <= tol
         assert G.count > 2      # the check, GMRES's products, the check
-        hopeless = SolverOptions(residual_tol=1e-30, max_krylov=4,
-                                 max_restarts=2)
+        request.getfixturevalue("short_gmres")
         with pytest.raises(KrylovError) as info:
-            krylov_solve(G, b, x0=x0, opts=hopeless)
+            krylov_solve(G, b, x0=x0, opts=SolverOptions(residual_tol=1e-30))
         last, _ = scipy.sparse.linalg.gmres(A, b, x0, rtol=0.0,
                                             atol=1e-30, restart=4, maxiter=2)
         assert info.value.residual == np.max(np.abs(b - A @ last))
@@ -500,7 +501,7 @@ class TestStoredSystems:
                                       snapshot_steps=(1,)))
 
         runs = [run(mesh), run(mesh)]
-        assert factor_calls == [("splu", mesh.n_interior)]
+        assert factor_calls == [("splu", mesh.n_nodes - 2)]
         fresh = run(build_mesh(-1.0, 1.0, 3, 8))
         for res in runs:
             for name in ("values", "times", "charge", "energy"):
@@ -513,7 +514,7 @@ class TestStoredSystems:
         u0 = np.outer(*(2 * [np.cos(0.5 * np.pi * mesh.nodes)])) + 0j
         for _ in range(2):
             run_trajectory(u0, (mesh, mesh), ProblemSpec(), 0.01, 2)
-        assert factor_calls == [("splu", mesh.n_interior)]
+        assert factor_calls == [("splu", mesh.n_nodes - 2)]
 
 
 @pytest.mark.parametrize("tau", [0.0, -0.01, np.nan, np.inf, -np.inf])

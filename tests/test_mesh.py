@@ -41,7 +41,6 @@ class TestBuildMesh:
             mesh = build_mesh(-1.0, 1.0, M, J)
             assert mesh.n_nodes == M * (J - 1) + 2
             assert mesh.nodes.shape == (mesh.n_nodes,)
-            assert mesh.n_interior == mesh.n_nodes - 2
 
     def test_endpoints_exact_and_nodes_increasing(self):
         mesh = build_mesh(-20.0, 100.0, 10, 30)
@@ -50,10 +49,11 @@ class TestBuildMesh:
         assert np.all(np.diff(mesh.nodes) > 0)
 
     def test_elements_overlap_by_sharing_nodes(self):
+        # element m's J+1 nodes start at global index m(J-1)
         mesh = build_mesh(0.0, 1.0, 4, 6)
         for m in range(3):
-            left = mesh.nodes[mesh.element_slice(m)]
-            right = mesh.nodes[mesh.element_slice(m + 1)]
+            left = mesh.nodes[m * 5:m * 5 + 7]
+            right = mesh.nodes[(m + 1) * 5:(m + 1) * 5 + 7]
             # last two nodes of each element are the first two of the next
             np.testing.assert_array_equal(left[-2:], right[:2])
 
@@ -62,16 +62,9 @@ class TestBuildMesh:
         # same float, not merely a close one
         mesh = build_mesh(-5.0, 5.0, 6, 9)
         for m in range(5):
-            a = mesh.nodes[mesh.element_slice(m)][-2:]
-            b = mesh.nodes[mesh.element_slice(m + 1)][:2]
+            a = mesh.nodes[m * 8:m * 8 + 10][-2:]
+            b = mesh.nodes[(m + 1) * 8:(m + 1) * 8 + 10][:2]
             assert a[0] == b[0] and a[1] == b[1]
-
-    def test_element_slice_width(self):
-        mesh = build_mesh(0.0, 3.0, 5, 7)
-        for m in range(5):
-            sl = mesh.element_slice(m)
-            assert sl.stop - sl.start == 8
-            assert sl.start == m * 6
 
     def test_interior_nodes_match_scaled_reference(self):
         mesh = build_mesh(-2.0, 2.0, 3, 10)
@@ -79,7 +72,7 @@ class TestBuildMesh:
         for m in range(3):
             a, b = mesh.element_bounds[m]
             phys = 0.5 * (a + b) + 0.5 * (b - a) * ref
-            np.testing.assert_allclose(mesh.nodes[mesh.element_slice(m)],
+            np.testing.assert_allclose(mesh.nodes[m * 9:m * 9 + 11],
                                        phys, atol=1e-12)
 
     def test_rejects_degenerate_input(self):
@@ -116,7 +109,7 @@ class TestAssembly:
             for m in range(M):
                 a, b = mesh.element_bounds[m]
                 local = D_ref * (2.0 / (b - a)) ** order
-                sl = mesh.element_slice(m)
+                sl = slice(m * (J - 1), m * (J - 1) + J + 1)
                 first = 0 if m == 0 else 1
                 last = J if m == M - 1 else J - 1
                 for r in range(first, last + 1):

@@ -103,7 +103,7 @@ class TestRunTrajectory:
         T = 0.1
 
         def terminal(n_steps):
-            opts = RunOptions(solver=TIGHT, record_invariants=False)
+            opts = RunOptions(record_invariants=False)
             return run_trajectory(u0.copy(), mesh, problem, T / n_steps,
                                   n_steps, options=opts).values
 
@@ -123,18 +123,16 @@ class TestRunTrajectory:
         u0[0] = u0[-1] = 0.0
         problem = ProblemSpec(lam=1.0, eps=0.0)
         opts = RunOptions(snapshot_steps=(0, 3, 10), invariant_stride=stride)
-        res = run_trajectory(u0.copy(), mesh, problem, 0.01, 10, t0=0.5,
+        res = run_trajectory(u0.copy(), mesh, problem, 0.01, 10,
                              options=opts)
         assert isinstance(res, TrajectoryResult)
-        # t0, every stride-th step, and the final step
-        np.testing.assert_allclose(
-            res.times, 0.5 + 0.01 * np.array(samples), atol=1e-14)
+        # time 0, every stride-th step, and the final step, each at k tau
+        np.testing.assert_array_equal(res.times, [k * 0.01 for k in samples])
         assert res.charge.shape == res.times.shape
         assert res.energy.shape == res.times.shape
         assert set(res.snapshots) == {0, 3, 10}
         np.testing.assert_array_equal(res.snapshots[0], u0)
         np.testing.assert_array_equal(res.snapshots[10], res.values)
-        assert res.t == pytest.approx(0.6)
         # each sample is the invariants of the state it was taken from
         assert res.charge[0] == discrete_charge(u0, mesh.nodes)
         assert res.energy[0] == discrete_energy(u0, mesh)
@@ -153,23 +151,25 @@ class TestRunTrajectory:
         run_trajectory(u0.copy(), mesh, problem, 0.01, 3, options=opts)
 
     def test_increments_are_drawn_over_exactly_tau(self):
-        # (t + tau) - t is not tau for most t: from t0 = 0.3, each of these
-        # 1000 steps of 0.001 would ask for an interval rounded off tau
+        # (k + 1) tau - k tau is not tau for most k: each of these 1000
+        # steps of 0.001 draws step k's increment over tau itself, and the
+        # time after k steps is k tau, not a sum of k taus
         class Recorder:
             def __init__(self, n):
-                self.dts, self.zero = [], np.zeros(n)
+                self.draws, self.zero = [], np.zeros(n)
 
             def grid_increments(self, step, dt):
-                self.dts.append(dt)
+                self.draws.append((step, dt))
                 return self.zero
 
         mesh = build_mesh(-1.0, 1.0, 1, 4)
         noise = Recorder(mesh.n_nodes)
-        opts = RunOptions(noise=noise, record_invariants=False)
-        run_trajectory(np.zeros(mesh.n_nodes, complex), mesh,
-                       ProblemSpec(eps=0.1), 0.001, 1000, t0=0.3,
-                       options=opts)
-        assert noise.dts == [0.001] * 1000
+        res = run_trajectory(np.zeros(mesh.n_nodes, complex), mesh,
+                             ProblemSpec(eps=0.1), 0.001, 1000,
+                             options=RunOptions(noise=noise))
+        assert noise.draws == [(k, 0.001) for k in range(1000)]
+        np.testing.assert_array_equal(res.times,
+                                      [k * 0.001 for k in range(1001)])
 
     def test_noisy_run_is_reproducible_and_noise_dependent(self):
         mesh = build_mesh(-1.0, 1.0, 2, 8)
@@ -193,29 +193,26 @@ class TestRunTrajectory:
         with pytest.raises(ValueError):
             run_trajectory(u0, mesh, problem, 0.01, 2)
 
-    def test_step_failure_carries_position_in_time(self):
+    def test_step_failure_carries_position_in_time(self, hopeless_solves):
         # an unsolvable tolerance forces the solver to give up; the failure
         # must say when, not just that it happened
         mesh = build_mesh(-1.0, 1.0, 4, 10)
         u0 = np.sin(np.pi * mesh.nodes) + 0j
         problem = ProblemSpec(lam=1.0, eps=0.0)
-        hopeless = SolverOptions(residual_tol=1e-30, max_krylov=4,
-                                 max_restarts=2)
-        opts = RunOptions(solver=hopeless, record_invariants=False)
+        opts = RunOptions(record_invariants=False)
         with pytest.raises(StepFailure) as info:
             run_trajectory(u0.copy(), mesh, problem, 0.01, 3, options=opts)
         assert info.value.step == 0
-        assert info.value.time == pytest.approx(0.0)
+        assert info.value.time == 0.0
         assert info.value.residual > 0
 
-    def test_step_failure_carries_the_entering_state_hash(self):
+    def test_step_failure_carries_the_entering_state_hash(self,
+                                                          hopeless_solves):
         # the unsolvable tolerance of the test above fails step 0, so the
         # state that entered it is u0
         mesh = build_mesh(-1.0, 1.0, 4, 10)
         u0 = np.sin(np.pi * mesh.nodes) + 0j
-        hopeless = SolverOptions(residual_tol=1e-30, max_krylov=4,
-                                 max_restarts=2)
-        opts = RunOptions(solver=hopeless, record_invariants=False)
+        opts = RunOptions(record_invariants=False)
         with pytest.raises(StepFailure) as info:
             run_trajectory(u0.copy(), mesh, ProblemSpec(), 0.01, 3,
                            options=opts)
@@ -238,6 +235,8 @@ class TestRunTrajectory:
         with pytest.raises(StepFailure) as info:
             run_trajectory(u0, mesh, problem, 0.01, 5, options=opts)
         assert info.value.step == 3
+        assert info.value.time == 3 * 0.01
+        assert "step 3 (t = 0.03)" in str(info.value)
         assert info.value.state_sha256 == state_sha256(clean.values)
 
     def test_nan_state_fails_at_step_zero(self):
@@ -317,7 +316,7 @@ class TestBlock:
         problem = ProblemSpec(lam=1.5, eps=0.4, boundary=boundary)
 
         def final(u0, noise):
-            opts = RunOptions(noise=ReplayNoise(noise), solver=TIGHT,
+            opts = RunOptions(noise=ReplayNoise(noise),
                               record_invariants=False)
             return run_trajectory(u0, self.mesh, problem, tau, n_steps,
                                   options=opts).values
