@@ -161,6 +161,25 @@ def _csv_text(columns) -> str:
     return prefix + ("\r\n" + prefix).join(rows) + "\r\n"
 
 
+def _unlink(path: str) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
+def _create(path: str):
+    """Open path for writing as a new file, never by truncating an old one.
+
+    Truncating an existing file in place marks it on ext4 (auto_da_alloc),
+    so its close starts writeback and the next run's truncation waits for
+    that I/O; a rerun that unlinks first writes like a first run. No output
+    is fsynced.
+    """
+    _unlink(path)
+    return open(path, "w", newline="")
+
+
 def write_csv(path: str, header, blocks) -> str:
     """Write a header row, then each block of cell columns, to a CSV file.
 
@@ -168,7 +187,7 @@ def write_csv(path: str, header, blocks) -> str:
     for a cell repeated on every row. Each block is written as it comes, so
     a generator streams a large table through memory one block at a time.
     """
-    with open(path, "w", newline="") as fh:
+    with _create(path) as fh:
         fh.write(_csv_text(list(header)))
         for columns in blocks:
             if len(columns) != len(header):
@@ -209,7 +228,7 @@ def _failure(config: ExperimentConfig, exc: StepFailure, **where) -> dict:
 
 def _write_manifest(dirpath: str, man: dict) -> str:
     path = os.path.join(dirpath, "manifest.json")
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         # one write: json.dump would write each of the encoder's chunks
         fh.write(json.dumps(man, indent=2, sort_keys=True) + "\n")
     return path
@@ -542,9 +561,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     manifest into <output_dir>/<kind> (efficiency: efficiency1d or 2d).
 
     An invalid config, or a directory that cannot be made, raises
-    ConfigError before the run; an invalid config writes nothing. The
-    manifest's stage_seconds times the runner as run, and the CSVs'
-    formatting and writing as write.
+    ConfigError before the run; an invalid config writes nothing. An
+    earlier run's manifest.json is removed before the runner starts, so a
+    run that raises leaves none. The manifest's stage_seconds times the
+    runner as run, and the CSVs' formatting and writing as write.
     """
     config = config.validate()
     subdir = (f"efficiency{config.dimension}d" if config.kind == "efficiency"
@@ -557,6 +577,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunResult:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {dirpath}: "
                           f"{exc.strerror}") from exc
+    _unlink(os.path.join(dirpath, "manifest.json"))
     started = time.perf_counter()
     out = RUNNERS[config.kind](config, workers=workers)
     t_run = time.perf_counter() - started

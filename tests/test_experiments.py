@@ -513,6 +513,66 @@ class TestSolitonRunner:
         for pa, pb in zip(sorted(a.paths), sorted(b.paths)):
             if pa.endswith(".csv"):
                 assert sha_of(pa) == sha_of(pb)
+        # and into the directory the first run wrote
+        first = {p: sha_of(p) for p in a.paths if p.endswith(".csv")}
+        again = run_experiment(tiny_soliton(tmp_path / "one"), workers=1)
+        assert sorted(again.paths) == sorted(a.paths)
+        assert {p: sha_of(p) for p in first} == first
+
+    def test_rerun_replaces_each_output_instead_of_truncating_it(
+            self, tmp_path):
+        # a hard link to each output keeps the first run's bytes: the rerun
+        # made new files rather than writing into the old ones
+        first = run_experiment(tiny_soliton(tmp_path / "out", eps=1.0))
+        side = tmp_path / "side"
+        side.mkdir()
+        old = {}
+        for path in first.paths:
+            old[path] = read_bytes(path)
+            os.link(path, side / os.path.basename(path))
+        rerun = run_experiment(tiny_soliton(tmp_path / "out", eps=1.0,
+                                            seed=1))
+        fresh = run_experiment(tiny_soliton(tmp_path / "fresh", eps=1.0,
+                                            seed=1))
+        assert sorted(rerun.paths) == sorted(first.paths)
+        for path, fresh_path in zip(sorted(rerun.paths), sorted(fresh.paths)):
+            name = os.path.basename(path)
+            assert read_bytes(side / name) == old[path], name
+            assert read_bytes(path) != old[path], name
+            if name.endswith(".csv"):
+                assert read_bytes(path) == read_bytes(fresh_path), name
+        with open(rerun.paths[-1]) as fh:
+            assert json.load(fh) == rerun.manifest
+
+    def test_rerun_replaces_a_symlinked_output_and_spares_its_target(
+            self, tmp_path):
+        first = run_experiment(tiny_soliton(tmp_path / "out"))
+        targets = tmp_path / "targets"
+        targets.mkdir()
+        for path in first.paths:
+            target = targets / os.path.basename(path)
+            target.write_bytes(b"not an output\n")
+            os.unlink(path)
+            os.symlink(target, path)
+        rerun = run_experiment(tiny_soliton(tmp_path / "out"))
+        for path in rerun.paths:
+            name = os.path.basename(path)
+            assert not os.path.islink(path) and os.path.isfile(path), name
+            assert read_bytes(path) != b"not an output\n", name
+            assert (targets / name).read_bytes() == b"not an output\n", name
+
+    def test_failed_rerun_leaves_no_earlier_manifest(self, tmp_path,
+                                                     request):
+        # a convergence run that raises writes nothing; the manifest of the
+        # run before it would describe CSVs this run did not write
+        first = run_experiment(TINY["convergence"](tmp_path), workers=1)
+        manifest = tmp_path / "convergence" / "manifest.json"
+        assert str(manifest) in first.paths
+        request.getfixturevalue("hopeless_solves")
+        with pytest.raises(StepFailure):
+            run_experiment(dataclasses.replace(
+                TINY["convergence"](tmp_path), seed=7), workers=1)
+        assert not manifest.exists()
 
 
 class TestOtherRunners:
